@@ -103,15 +103,6 @@ FLOORS = {
     # enforced: measured ~129 MB at 10M ops, vs ~1 GB for a
     # materialized run (trace columns + event list + tick table).
     "stream_peak_rss_mb": 300.0,
-    # Sharded scale-out vs the single-process streamed run on the same
-    # trace.  The state-handoff pipeline overlaps the workers'
-    # functional prepass chain with the parent's timed dispatch, so the
-    # ceiling is ~1/max(prepass, dispatch fraction) ~ 1.6x for sp.
-    # Enforced on full runs with >= 4 cores only — on fewer cores the
-    # two pipeline legs contend for the same CPU (the speedup is still
-    # recorded).  Bit-identity of the merged result is asserted
-    # unconditionally inside ``run_sharded`` itself.
-    "sharded_speedup": 1.5,
     # Crash-plan pruning: the app campaign's generator must skip at
     # least half of the exhaustive ``1 + 16n`` crash space while the
     # exhaustive cross-check still classifies every cell identically to
@@ -297,7 +288,6 @@ def run_engine_stage(quick: bool) -> dict:
 STREAM_OPS_FULL = 10_000_000
 STREAM_OPS_QUICK = 300_000
 STREAM_SCHEME = "sp"
-STREAM_SHARDS = 8
 
 _STREAM_PROBE = """
 import json, resource, sys, time
@@ -309,36 +299,24 @@ from repro.workloads.trace import TraceReader
 t0 = time.perf_counter()
 config = SystemConfig(scheme=UpdateScheme.from_name(sys.argv[2]))
 with TraceReader(sys.argv[1]) as reader:
-    result = TraceSimulator(config).run_stream(reader)
+    TraceSimulator(config).run_stream(reader)
 wall = time.perf_counter() - t0
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({
-    "wall": wall,
-    "peak_mb": peak_kb / 1024.0,
-    "cycles": result.cycles,
-    "instructions": result.instructions,
-    "persists": result.persists,
-}))
+print(json.dumps({"wall": wall, "peak_mb": peak_kb / 1024.0}))
 """
 
 
-def run_stream_stage(quick: bool, jobs_flag: int) -> dict:
-    """Streaming scale-out stage: bounded-RSS 10M-op run + sharded merge.
+def run_stream_stage(quick: bool) -> dict:
+    """Streaming scale-out stage: bounded-RSS 10M-op run.
 
     Stream-generates a chunked v2 trace straight to disk (never holding
-    the trace in memory), then (a) replays it end to end with
+    the trace in memory), then replays it end to end with
     ``run_stream`` in a *fresh subprocess* whose peak RSS — measured via
     ``resource.getrusage`` — must stay under the hard
-    ``stream_peak_rss_mb`` cap, and (b) runs the same trace sharded at
-    epoch-drain boundaries across the worker pool, asserting the merged
-    result matches both the in-process direct run (inside
-    ``run_sharded``) and the subprocess's headline counters.
+    ``stream_peak_rss_mb`` cap.
     """
     import subprocess
 
-    from repro.sweep.shard import run_sharded
-    from repro.system.config import SystemConfig
-    from repro.core.schemes import UpdateScheme
     from repro.workloads.synthetic import SyntheticSpec, stream_trace, synthetic_ops
 
     ops = STREAM_OPS_QUICK if quick else STREAM_OPS_FULL
@@ -372,41 +350,15 @@ def run_stream_stage(quick: bool, jobs_flag: int) -> dict:
                 f"RSS, above the {FLOORS['stream_peak_rss_mb']} MB cap"
             )
 
-        config = SystemConfig(scheme=UpdateScheme.from_name(STREAM_SCHEME))
-        start = time.perf_counter()
-        merged = run_sharded(
-            path, config, shards=STREAM_SHARDS, workers=max(2, jobs_flag)
-        )
-        sharded_wall = time.perf_counter() - start
-        for field in ("cycles", "instructions", "persists"):
-            if getattr(merged, field) != probe[field]:
-                _fail(
-                    f"sharded merge diverged from the subprocess streamed run "
-                    f"on {field}: {getattr(merged, field)} != {probe[field]}"
-                )
-
-    speedup = round(probe["wall"] / sharded_wall, 3) if sharded_wall > 0 else None
-    stage = {
+    return {
         "name": "stream_scale",
         "records": records,
         "file_bytes": file_bytes,
         "scheme": STREAM_SCHEME,
-        "shards": STREAM_SHARDS,
         "generate_wall_seconds": round(generate_wall, 6),
         "wall_seconds": round(probe["wall"], 6),
-        "wall_seconds_sharded": round(sharded_wall, 6),
         "peak_rss_mb": round(probe["peak_mb"], 2),
-        "sharded_speedup": speedup,
-        "merged_identical": True,
     }
-    gate_speedup = not quick and (os.cpu_count() or 1) >= 4
-    stage["sharded_speedup_gated"] = gate_speedup
-    if gate_speedup and (speedup is None or speedup < FLOORS["sharded_speedup"]):
-        _fail(
-            f"sharded speedup {speedup}x is below the "
-            f"{FLOORS['sharded_speedup']}x floor"
-        )
-    return stage
 
 
 def run_recovery_stage(quick: bool) -> dict:
@@ -618,9 +570,8 @@ def main(argv=None) -> int:
         # stepped reference, on its own matrices (compared internally,
         # not against the sequential golden results).
         engine_stage = run_engine_stage(args.quick)
-        # Streaming scale-out: bounded-RSS 10M-op streamed run plus the
-        # epoch-drain sharded merge (its own trace, compared internally).
-        stream_stage = run_stream_stage(args.quick, args.jobs)
+        # Streaming scale-out: bounded-RSS 10M-op streamed run.
+        stream_stage = run_stream_stage(args.quick)
         # Cross-paper recovery table + zoo crash-campaign smoke.
         recovery_stage = run_recovery_stage(args.quick)
         # App crash-plan campaign: pruning soundness + differential gate.
@@ -693,9 +644,6 @@ def main(argv=None) -> int:
         "stream": {
             "records": stream_stage["records"],
             "peak_rss_mb": stream_stage["peak_rss_mb"],
-            "sharded_speedup": stream_stage["sharded_speedup"],
-            "sharded_speedup_gated": stream_stage["sharded_speedup_gated"],
-            "merged_identical": True,
         },
         "recovery": {
             "table_schemes": recovery_stage["table_schemes"],
@@ -732,9 +680,7 @@ def main(argv=None) -> int:
     report["stages"].append(stream_stage)
     print(
         f"  {stream_stage['name']:12s} {stream_stage['wall_seconds']:8.3f}s  "
-        f"{stream_stage['records']:,} ops at {stream_stage['peak_rss_mb']:.0f} MB peak RSS  "
-        f"sharded x{stream_stage['shards']} {stream_stage['sharded_speedup']}x"
-        f"{' (gated)' if stream_stage['sharded_speedup_gated'] else ''}"
+        f"{stream_stage['records']:,} ops at {stream_stage['peak_rss_mb']:.0f} MB peak RSS"
     )
     report["stages"].append(recovery_stage)
     print(

@@ -120,28 +120,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for value in values
         for name in ("secure_wb", scheme.value)
     ]
-    if args.shards > 1:
-        # Scale-out mode: each simulation is split at epoch-drain
-        # boundaries and run across the persistent worker pool, merged
-        # back bit-identically (so the table below matches --shards 1).
-        from repro.sweep import cached_profile_trace, run_sharded
-
-        flat = []
-        for job in jobs:
-            trace = cached_profile_trace(job.benchmark, job.kilo_instructions, job.seed)
-            flat.append(
-                run_sharded(
-                    trace,
-                    job.resolved_config(),
-                    shards=args.shards,
-                    warmup_fraction=job.warmup_fraction,
-                    workers=args.jobs if args.jobs > 1 else None,
-                )
-            )
-        footer = f"sweep: {len(jobs)} points, {args.shards} shards each"
-    else:
-        flat, report = run_jobs(jobs, workers=args.jobs, cache=not args.no_cache)
-        footer = f"sweep: {report.summary()}"
+    flat, report = run_jobs(jobs, workers=args.jobs, cache=not args.no_cache)
     table = Table(
         f"{args.benchmark} / {scheme.value}: sweep of {args.param}",
         [args.param, "cycles", "vs secure_wb"],
@@ -150,7 +129,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         base, result = flat[2 * i], flat[2 * i + 1]
         table.add_row(str(value), f"{result.cycles:,}", f"{result.slowdown_vs(base):.3f}x")
     print(table)
-    print(footer)
+    print(f"sweep: {report.summary()}")
     return 0
 
 
@@ -590,13 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--values", default="4,8,16,32,64,128,256")
     sweep.add_argument("--ki", type=int, default=25)
     sweep.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
-    sweep.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="split each simulation at epoch-drain boundaries across the "
-        "worker pool and merge bit-identically (scale-out mode)",
-    )
     sweep.add_argument("--no-cache", action="store_true", help="bypass the on-disk result cache")
     sweep.set_defaults(func=cmd_sweep)
 

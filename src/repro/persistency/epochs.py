@@ -53,7 +53,7 @@ class EpochTracker:
                 ``None`` disables implicit boundaries (explicit sfences
                 only).
             retain_closed: Keep every closed :class:`Epoch` object in
-                ``closed_epochs``.  Streaming/sharded runs disable this
+                ``closed_epochs``.  Streaming runs disable this
                 so epoch bookkeeping stays O(1) in trace length; the
                 aggregate counters (``closed_count``, ``total_persists``,
                 ``total_stores``) are maintained either way.

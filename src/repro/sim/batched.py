@@ -27,6 +27,10 @@ exploits that:
    (``_load_timed`` / ``_persist_store`` / ``_flush_timed`` /
    ``_handle_writeback`` on :class:`~repro.system.timing.TraceSimulator`),
    against the same live NVM / WPQ / scoreboard / metadata-cache state.
+   :func:`dispatch_events` is the one loop that does this, for the
+   memoized whole-trace run (:func:`run_batched`, one chunk) and the
+   bounded-memory stream (:mod:`repro.sim.stream`, one call per chunk)
+   alike.
 
 Bit-identity with the scalar engines is by construction, not by luck:
 the decomposed tick clock (``timing.TraceSimulator._clock``) makes the
@@ -41,6 +45,8 @@ stepped on ``SimResult``s *and* telemetry streams for all schemes.
 
 from __future__ import annotations
 
+from collections import deque
+from contextlib import nullcontext
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -66,16 +72,16 @@ class PrepassResult:
     ``(op_idx, tag, block, writebacks, memory_access, window_victim,
     flush_blocks, extra)`` where ``extra`` is the closing epoch's store
     count for flush events and the persist flag for write-through
-    stores.  ``cache_counts`` carries the L1/L2/L3 hit/miss/eviction
-    totals the prepass absorbed (merged into the stats registry after
+    stores.  ``counters`` carries the L1/L2/L3 hit/miss/eviction
+    totals the prepass absorbed (folded into the stats registry after
     pass 2).
     """
 
-    __slots__ = ("events", "cache_counts")
+    __slots__ = ("events", "counters")
 
-    def __init__(self, events: List[tuple], cache_counts: Tuple[int, ...]) -> None:
+    def __init__(self, events: List[tuple], counters: Tuple[int, ...]) -> None:
         self.events = events
-        self.cache_counts = cache_counts
+        self.counters = counters
 
 
 def _cache_dims(size_bytes: int, assoc: int) -> Tuple[int, Optional[int], int]:
@@ -86,11 +92,13 @@ def _cache_dims(size_bytes: int, assoc: int) -> Tuple[int, Optional[int], int]:
     return num_sets, mask, assoc
 
 
-def _blocks_of(trace: MemoryTrace) -> List[int]:
-    if not len(trace):
-        return []
-    addresses = np.frombuffer(memoryview(trace.addresses), dtype=np.uint64)
-    return (addresses >> np.uint64(6)).tolist()
+def _prepass_class(scheme, config) -> Tuple[str, Optional[int]]:
+    """The (persistency class, epoch size) pair shaping the prepass."""
+    if scheme.uses_epochs:
+        return "ep", config.epoch_size
+    if scheme.write_through:
+        return "wt", None
+    return "wb", None
 
 
 def _blocks_of_column(addresses) -> List[int]:
@@ -107,12 +115,10 @@ class FunctionalPrepass:
     dictionaries, the dirty-residency window, the epoch dirty sets and
     the hit/miss counters all live on the instance, and :meth:`feed`
     advances them over one packed column chunk at a time, returning the
-    eventful-op partition for just that chunk.  Feeding a whole trace in
-    one call reproduces ``_functional_prepass`` exactly (the wrapper
-    below does just that); feeding segment-sized chunks is how the
-    streaming and sharded paths bound their memory.  The state is plain
-    dicts/lists, so :meth:`export_state`/:meth:`load_state` can hand a
-    shard's end state to the worker simulating the next shard.
+    eventful-op partition for just that chunk.  The memoized whole-trace
+    prepass (:func:`_prepass_for`) feeds the trace in one call; the
+    streaming path feeds segment-sized chunks to bound its memory.
+    Both produce the identical event stream.
     """
 
     __slots__ = (
@@ -169,34 +175,19 @@ class FunctionalPrepass:
         """Cumulative L1/L2/L3 hit/miss/eviction/dirty-eviction totals."""
         return tuple(self._l1c) + tuple(self._c)
 
-    def export_state(self) -> tuple:
-        """Picklable snapshot of the carried state (shard handoff)."""
-        return (
-            self._l1,
-            self._l2,
-            self._l3,
-            self._window,
-            self._ep_count,
-            self._ep_dirty,
-            list(self._l1c),
-            list(self._c),
-            self._next_idx,
+    @classmethod
+    def for_sim(cls, sim) -> "FunctionalPrepass":
+        """A fresh prepass matching ``sim``'s cache/persistency config."""
+        cfg = sim.config
+        pclass, esize = _prepass_class(sim.scheme, cfg)
+        return cls(
+            pclass,
+            esize,
+            cfg.protect_stack,
+            _cache_dims(cfg.l1_bytes, cfg.l1_assoc),
+            _cache_dims(cfg.l2_bytes, cfg.l2_assoc),
+            _cache_dims(cfg.l3_bytes, cfg.l3_assoc),
         )
-
-    def load_state(self, state: tuple) -> None:
-        (
-            self._l1,
-            self._l2,
-            self._l3,
-            self._window,
-            self._ep_count,
-            self._ep_dirty,
-            l1c,
-            c,
-            self._next_idx,
-        ) = state
-        self._l1c = list(l1c)
-        self._c = list(c)
 
     def feed(self, kind_codes, addresses, persistent_flags) -> List[tuple]:
         """Replay one chunk of packed columns; return its eventful ops.
@@ -428,38 +419,18 @@ class FunctionalPrepass:
         return events
 
 
-def _functional_prepass(
-    trace: MemoryTrace,
-    cls: str,
-    epoch_size: Optional[int],
-    protect_stack: bool,
-    dims1: Tuple[int, Optional[int], int],
-    dims2: Tuple[int, Optional[int], int],
-    dims3: Tuple[int, Optional[int], int],
-) -> PrepassResult:
-    """One timing-free replay of the replacement + persistency state.
-
-    This mirrors, operation for operation, the functional half of the
-    scalar loop: LRU movement and eviction in the three data-cache
-    levels (:class:`~repro.mem.cache.Cache` semantics, down to the
-    dirty-bit and counter behaviour of ``access``/``fill``/``probe``/
-    ``clean``), the bounded dirty-residency window, and the epoch dirty
-    sets.  None of these ever read the clock, which is what makes the
-    factorization sound; the proof obligation is discharged empirically
-    by the differential harness.
-
-    Thin wrapper over :class:`FunctionalPrepass` feeding the whole
-    trace as one chunk — the memoized whole-trace path and the chunked
-    streaming path share the same replay code.
-    """
-    pre = FunctionalPrepass(cls, epoch_size, protect_stack, dims1, dims2, dims3)
-    events = pre.feed(trace.kind_codes, trace.addresses, trace.persistent_flags)
-    events.extend(pre.finish())
-    return PrepassResult(events, pre.counters)
-
-
 def _prepass_for(sim, trace: MemoryTrace) -> PrepassResult:
     """Fetch (or compute and memoize) the trace's functional prepass.
+
+    One timing-free replay of the replacement + persistency state.  It
+    mirrors, operation for operation, the functional half of the scalar
+    loop: LRU movement and eviction in the three data-cache levels
+    (:class:`~repro.mem.cache.Cache` semantics, down to the dirty-bit
+    and counter behaviour of ``access``/``fill``/``probe``/``clean``),
+    the bounded dirty-residency window, and the epoch dirty sets.  None
+    of these ever read the clock, which is what makes the factorization
+    sound; the proof obligation is discharged empirically by the
+    differential harness.
 
     The memo rides on ``trace._stat_cache`` so it is invalidated
     whenever the trace mutates, shared across every simulation of the
@@ -467,18 +438,9 @@ def _prepass_for(sim, trace: MemoryTrace) -> PrepassResult:
     for free by forked sweep-pool workers.
     """
     cfg = sim.config
-    scheme = sim.scheme
-    if scheme.uses_epochs:
-        cls: str = "ep"
-        esize: Optional[int] = cfg.epoch_size
-    elif scheme.write_through:
-        cls, esize = "wt", None
-    else:
-        cls, esize = "wb", None
     key = (
         "batched_prepass",
-        cls,
-        esize,
+        *_prepass_class(sim.scheme, cfg),
         cfg.protect_stack,
         cfg.l1_bytes,
         cfg.l1_assoc,
@@ -488,19 +450,13 @@ def _prepass_for(sim, trace: MemoryTrace) -> PrepassResult:
         cfg.l3_assoc,
     )
     memo = trace._stat_cache
-    pre = memo.get(key)
-    if pre is None:
-        pre = _functional_prepass(
-            trace,
-            cls,
-            esize,
-            cfg.protect_stack,
-            _cache_dims(cfg.l1_bytes, cfg.l1_assoc),
-            _cache_dims(cfg.l2_bytes, cfg.l2_assoc),
-            _cache_dims(cfg.l3_bytes, cfg.l3_assoc),
-        )
-        memo[key] = pre
-    return pre
+    result = memo.get(key)
+    if result is None:
+        pre = FunctionalPrepass.for_sim(sim)
+        events = pre.feed(trace.kind_codes, trace.addresses, trace.persistent_flags)
+        events.extend(pre.finish())
+        result = memo[key] = PrepassResult(events, pre.counters)
+    return result
 
 
 class MetadataScript:
@@ -521,7 +477,7 @@ class MetadataScript:
     * ``combiner`` — absorb/no-absorb booleans for the WPQ
       write-combiner (``_tuple_writes``), in call order;
     * ``counts`` — (hits, misses, evictions, dirty_evictions) totals
-      per metadata cache, merged into the registry after pass 2.
+      per metadata cache, folded into the registry after pass 2.
     """
 
     __slots__ = ("stream", "walks", "combiner", "counts")
@@ -593,12 +549,9 @@ class MetadataReplay:
     touches the cache, matching ``access_bmt_node``.
 
     :meth:`feed` consumes one chunk of prepass events and buffers the
-    scripted outcomes; :meth:`take` drains the buffers.  Feeding the
-    whole event partition at once reproduces ``_metadata_replay``
-    exactly.  The cache sets, stats and combiner dict are plain
-    containers, so :meth:`export_state`/:meth:`load_state` support the
-    shard handoff (the coalescer is stateless across epochs and is
-    simply rebuilt by the receiving worker).
+    scripted outcomes; :meth:`take` drains the buffers.  The memoized
+    script feeds the whole event partition at once, the streaming path
+    one chunk's events at a time; the outcomes are identical.
     """
 
     __slots__ = (
@@ -670,31 +623,21 @@ class MetadataReplay:
         """Cumulative ctr/mac/bmt hit/miss/eviction/dirty totals."""
         return tuple(self._ctr_stats + self._mac_stats + self._bmt_stats)
 
-    def export_state(self) -> tuple:
-        """Picklable snapshot of the carried state (shard handoff)."""
-        return (
-            self._ctr_sets,
-            self._mac_sets,
-            self._bmt_sets,
-            list(self._ctr_stats),
-            list(self._mac_stats),
-            list(self._bmt_stats),
-            self._comb,
+    @classmethod
+    def for_sim(cls, sim, boundary: int) -> "MetadataReplay":
+        """A fresh replay matching ``sim``'s metadata config."""
+        cfg = sim.config
+        return cls(
+            boundary,
+            sim.scheme,
+            sim.geometry,
+            cfg.blocks_per_counter_block,
+            cfg.mac_latency,
+            cfg.nvm.read_latency,
+            _cache_dims(cfg.counter_cache_bytes, cfg.metadata_assoc),
+            _cache_dims(cfg.mac_cache_bytes, cfg.metadata_assoc),
+            _cache_dims(cfg.bmt_cache_bytes, cfg.metadata_assoc),
         )
-
-    def load_state(self, state: tuple) -> None:
-        (
-            self._ctr_sets,
-            self._mac_sets,
-            self._bmt_sets,
-            ctr_stats,
-            mac_stats,
-            bmt_stats,
-            self._comb,
-        ) = state
-        self._ctr_stats = list(ctr_stats)
-        self._mac_stats = list(mac_stats)
-        self._bmt_stats = list(bmt_stats)
 
     def take(self) -> Tuple[List[bool], List[Tuple[List[int], int]], List[bool]]:
         """Drain the buffered (stream, walks, combiner) outcomes."""
@@ -806,37 +749,6 @@ class MetadataReplay:
                 flush(ev[6])
 
 
-def _metadata_replay(
-    events: List[tuple],
-    boundary: int,
-    scheme: UpdateScheme,
-    geometry,
-    bpcb: int,
-    mac_latency: int,
-    miss_latency: int,
-    dims_ctr: Tuple[int, Optional[int], int],
-    dims_mac: Tuple[int, Optional[int], int],
-    dims_bmt: Tuple[int, Optional[int], int],
-) -> MetadataScript:
-    """Replay the whole event partition in one :class:`MetadataReplay`
-    feed — the memoized whole-trace script and the chunked streaming
-    path share the same replay code."""
-    md = MetadataReplay(
-        boundary,
-        scheme,
-        geometry,
-        bpcb,
-        mac_latency,
-        miss_latency,
-        dims_ctr,
-        dims_mac,
-        dims_bmt,
-    )
-    md.feed(events)
-    stream, walks, comb_stream = md.take()
-    return MetadataScript(stream, walks, comb_stream, md.counts)
-
-
 def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScript:
     """Fetch (or compute and memoize) the metadata hit/miss script.
 
@@ -873,19 +785,9 @@ def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScri
     memo = trace._stat_cache
     script = memo.get(key)
     if script is None:
-        script = _metadata_replay(
-            _prepass_for(sim, trace).events,
-            boundary,
-            sim.scheme,
-            geometry,
-            cfg.blocks_per_counter_block,
-            cfg.mac_latency,
-            cfg.nvm.read_latency,
-            _cache_dims(cfg.counter_cache_bytes, cfg.metadata_assoc),
-            _cache_dims(cfg.mac_cache_bytes, cfg.metadata_assoc),
-            _cache_dims(cfg.bmt_cache_bytes, cfg.metadata_assoc),
-        )
-        memo[key] = script
+        md = MetadataReplay.for_sim(sim, boundary)
+        md.feed(_prepass_for(sim, trace).events)
+        script = memo[key] = MetadataScript(*md.take(), md.counts)
     return script
 
 
@@ -898,49 +800,48 @@ class _ScriptedCombiner:
         self.absorbs = lambda kind, block: nxt()
 
 
-def _column(column, dtype):
-    return np.frombuffer(memoryview(column), dtype=dtype)
+def wants_script(sim) -> bool:
+    """Whether ``sim`` takes the scripted-metadata fast path.
 
-
-def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
-    """Pass 2: jump the clock between eventful ops, dispatch each one
-    through the shared timed handlers, and assemble the ``SimResult``.
-
-    ``sim`` is a :class:`~repro.system.timing.TraceSimulator`; the
-    argument validation already happened in ``run()``.
+    Scripting replaces the three live metadata caches with the
+    precomputed hit/miss outcomes — the single hottest cost in the timed
+    handlers.  It needs live caches (not ideal) and no instrumentation
+    closure (telemetry ``cache_events``) already shadowing the access
+    methods; the instrumented and ideal paths keep the live code, so
+    telemetry runs stay bit-identical through shared code.
     """
-    n = len(trace)
-    boundary = int(n * warmup_fraction)
-    pre = _prepass_for(sim, trace)
-
-    if n:
-        gaps = _column(trace.gaps, np.uint32).astype(np.int64)
-        kinds = _column(trace.kind_codes, np.uint8)
-        # Every op retires one tick except sfence (which only carries
-        # its gap); instructions count gap+1 for every op.
-        cum_ticks = np.cumsum(gaps + (kinds != KIND_SFENCE))
-        cum_instr = np.cumsum(gaps + 1)
-        total_ticks = int(cum_ticks[-1])
-        total_instr = int(cum_instr[-1])
-        snap_ticks = int(cum_ticks[boundary - 1]) if boundary else 0
-        snap_instr = int(cum_instr[boundary - 1]) if boundary else 0
-    else:
-        cum_ticks = None
-        total_ticks = total_instr = snap_ticks = snap_instr = 0
-
-    # Scripted metadata: when no instrumented (telemetry cache-event)
-    # closures shadow the access methods and the caches aren't ideal,
-    # replace the three live metadata caches with iterator reads over
-    # the precomputed hit/miss stream — the single hottest cost in the
-    # timed handlers.  The instrumented and ideal paths keep the live
-    # code, so telemetry runs stay bit-identical through shared code.
     metadata = sim.metadata
-    scoreboard = sim.scoreboard
-    combiner = sim._combiner
-    script = None
-    if not metadata.ideal and "access_counter" not in metadata.__dict__:
-        script = _metadata_script_for(sim, trace, boundary)
-        nxt = iter(script.stream).__next__
+    return not metadata.ideal and "access_counter" not in metadata.__dict__
+
+
+class ScriptFeed:
+    """Deque-fed scripted metadata accessors installed on a simulator.
+
+    The only code that swaps the scripted outcomes in: entering the
+    context shadows the metadata accessors, the scoreboard's
+    ``_level_costs`` and the write-combiner with pops from three deques,
+    which :meth:`extend` fills (once with a memoized script, or chunk by
+    chunk while streaming) in the order the timed handlers consume them.
+    Leaving it restores the live machinery and, on a clean exit, checks
+    every deque ran dry — a leftover (or an ``IndexError`` from an empty
+    deque) means the replay and the handlers disagreed on the sequence.
+    """
+
+    __slots__ = ("_sim", "_scoreboard", "_combiner", "stream", "walks", "comb")
+
+    def __init__(self, sim) -> None:
+        self._sim = sim
+        self._scoreboard = sim.scoreboard
+        self._combiner = sim._combiner
+        self.stream: deque = deque()
+        self.walks: deque = deque()
+        self.comb: deque = deque()
+
+    def __enter__(self) -> "ScriptFeed":
+        nxt = self.stream.popleft
+        walk_next = self.walks.popleft
+        scoreboard = self._scoreboard
+        metadata = self._sim.metadata
         metadata.access_counter = lambda block, is_write: nxt()
         metadata.access_mac = lambda block, is_write: nxt()
 
@@ -949,8 +850,6 @@ def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
 
         metadata.access_bmt_node = _scripted_bmt
 
-        walk_next = iter(script.walks).__next__
-
         def _scripted_level_costs(path):
             costs, misses = walk_next()
             scoreboard.bmt_cache_misses += misses
@@ -958,99 +857,178 @@ def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
             return costs
 
         scoreboard._level_costs = _scripted_level_costs
-        comb_next = iter(script.combiner).__next__
-        sim._combiner = _ScriptedCombiner(comb_next)
+        self._sim._combiner = _ScriptedCombiner(self.comb.popleft)
+        return self
 
+    def extend(self, stream, walks, comb) -> None:
+        self.stream.extend(stream)
+        self.walks.extend(walks)
+        self.comb.extend(comb)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        metadata = self._sim.metadata
+        del metadata.access_counter, metadata.access_mac
+        del metadata.access_bmt_node
+        del self._scoreboard._level_costs
+        self._sim._combiner = self._combiner
+        if exc_type is None and (self.stream or self.walks or self.comb):
+            raise RuntimeError("batched metadata script not fully consumed")
+
+
+def _chunk_ticks(chunk, tick_base: int, instr_base: int):
+    """Cumulative (tick, instruction) counts after each op of ``chunk``.
+
+    Every op retires one tick except sfence (which only carries its
+    gap); instructions count gap+1 for every op.  The running bases
+    place the counts on the whole-trace axis.  Ticks come back as a
+    list (pass 2 indexes it per event), instructions as an array (only
+    the warmup boundary and the end are read).
+    """
+    gaps = np.frombuffer(memoryview(chunk.gaps), dtype=np.uint32).astype(np.int64)
+    kinds = np.frombuffer(memoryview(chunk.kind_codes), dtype=np.uint8)
+    ticks = np.cumsum(gaps + (kinds != KIND_SFENCE))
+    ticks += tick_base
+    instr = np.cumsum(gaps + 1)
+    instr += instr_base
+    return ticks.tolist(), instr
+
+
+def _open_window(sim, snap: Tuple[int, int]):
+    """Open the measured window at ``snap`` = (ticks, instructions)
+    after op ``boundary - 1``, exactly where the scalar loop does."""
+    sim._ticks = snap[0]
+    sim._in_warmup = False
+    return sim._snapshot(snap[1])
+
+
+def dispatch_events(sim, events, ticks, start, end_ticks, boundary, snap, window):
+    """Pass 2: dispatch eventful ops through the shared timed handlers.
+
+    The batched engine's one event loop, called with the whole memoized
+    event list by :func:`run_batched` and once per chunk by the
+    streaming run.  ``ticks[i]`` is the cumulative tick count after op
+    ``start + i``; an event past the end of ``ticks`` (the end-of-trace
+    drain) lands at ``end_ticks``.  The clock jumps straight to each
+    event's tick, so the silent spans in between cost nothing.
+    ``window`` is the measured-window snapshot so far — None until the
+    first event at or past ``boundary``, where it opens at ``snap`` —
+    and the updated one is returned.
+    """
     epochs = sim.epochs
-    window = None
-    sim._in_warmup = boundary > 0
-    tick_list = cum_ticks.tolist() if n else []
+    stop = start + len(ticks)
     handle_writeback = sim._handle_writeback
     allocate_stall = sim._allocate_stall
     load_timed = sim._load_timed
     flush_timed = sim._flush_timed
     persist_store = sim._persist_store
-    try:
-        for ev in pre.events:
-            op_idx = ev[0]
-            if window is None and op_idx >= boundary:
-                sim._ticks = snap_ticks
-                sim._in_warmup = False
-                window = sim._snapshot(snap_instr)
-            sim._ticks = tick_list[op_idx] if op_idx < n else total_ticks
-            tag = ev[1]
-            if tag == _EV_STORE:
-                for victim in ev[3]:
-                    handle_writeback(victim)
-                if ev[4]:
-                    allocate_stall()
-                displaced = ev[5]
-                if displaced is not None and op_idx >= boundary:
-                    handle_writeback(displaced)
-                flush = ev[6]
-                if flush is not None:
-                    flush_timed(flush)
-                    _record_epoch(epochs, flush, ev[7])
-                elif ev[7]:
-                    persist_store(ev[2])
-            elif tag == _EV_LOAD:
-                load_timed(ev[2], ev[3], ev[4])
-            else:  # _EV_FLUSH (sfence boundary or end-of-trace drain)
-                flush_timed(ev[6])
-                _record_epoch(epochs, ev[6], ev[7])
-    finally:
-        if script is not None:
-            # Restore the live machinery and check every stream ran
-            # dry — a leftover (or a StopIteration above) would mean
-            # the replay and the handlers disagreed on the sequence.
-            del metadata.access_counter, metadata.access_mac
-            del metadata.access_bmt_node
-            del scoreboard._level_costs
-            sim._combiner = combiner
-    if script is not None and (
-        next(_probe(nxt), None) is not None
-        or next(_probe(walk_next), None) is not None
-        or next(_probe(comb_next), None) is not None
-    ):
-        raise RuntimeError("batched metadata script not fully consumed")
-    if window is None:
-        # No eventful op at or past the boundary — take the snapshot
-        # exactly where the scalar loop would have.
-        sim._ticks = snap_ticks
-        sim._in_warmup = False
-        window = sim._snapshot(snap_instr)
-    sim._ticks = total_ticks
+    for ev in events:
+        op_idx = ev[0]
+        if window is None and op_idx >= boundary:
+            window = _open_window(sim, snap)
+        sim._ticks = ticks[op_idx - start] if op_idx < stop else end_ticks
+        tag = ev[1]
+        if tag == _EV_STORE:
+            for victim in ev[3]:
+                handle_writeback(victim)
+            if ev[4]:
+                allocate_stall()
+            displaced = ev[5]
+            if displaced is not None and op_idx >= boundary:
+                handle_writeback(displaced)
+            flush = ev[6]
+            if flush is not None:
+                flush_timed(flush)
+                _record_epoch(epochs, flush, ev[7])
+            elif ev[7]:
+                persist_store(ev[2])
+        elif tag == _EV_LOAD:
+            load_timed(ev[2], ev[3], ev[4])
+        else:  # _EV_FLUSH (sfence boundary or end-of-trace drain)
+            flush_timed(ev[6])
+            _record_epoch(epochs, ev[6], ev[7])
+    return window
 
-    # Merge the prepass's counter totals into the live registry before
-    # the result snapshots stats.as_dict().  The data-cache totals go
-    # through the registry by name (the batched engine never builds the
-    # live hierarchy); the metadata totals add to whatever the live
-    # caches absorbed before scripting took over (zero in practice).
+
+def _fold_counters(sim, cache_counts, md_counts) -> None:
+    """Fold the prepass (and metadata-replay) counter totals into the
+    live registry before the result snapshots ``stats.as_dict()``.
+
+    The data-cache totals go through the registry by name (the batched
+    engine never builds the live hierarchy); the metadata totals add to
+    whatever the live caches absorbed before scripting took over (zero
+    in practice).
+    """
     counter = sim.stats.counter
-    cc = pre.cache_counts
-    for name, off in (("l1", 0), ("l2", 4), ("l3", 8)):
-        counter(f"{name}.hits").value += cc[off]
-        counter(f"{name}.misses").value += cc[off + 1]
-        counter(f"{name}.evictions").value += cc[off + 2]
-        counter(f"{name}.dirty_evictions").value += cc[off + 3]
-    if script is not None:
-        mc = script.counts
-        for name, off in (("ctr", 0), ("mac", 4), ("bmt", 8)):
-            counter(f"{name}.hits").value += mc[off]
-            counter(f"{name}.misses").value += mc[off + 1]
-            counter(f"{name}.evictions").value += mc[off + 2]
-            counter(f"{name}.dirty_evictions").value += mc[off + 3]
-
-    return sim._make_result(trace.name, window, total_instr)
+    groups = [(("l1", "l2", "l3"), cache_counts)]
+    if md_counts is not None:
+        groups.append((("ctr", "mac", "bmt"), md_counts))
+    for names, counts in groups:
+        for off, name in zip((0, 4, 8), names):
+            counter(f"{name}.hits").value += counts[off]
+            counter(f"{name}.misses").value += counts[off + 1]
+            counter(f"{name}.evictions").value += counts[off + 2]
+            counter(f"{name}.dirty_evictions").value += counts[off + 3]
 
 
-def _probe(nxt):
-    """Yield the script iterator's next value, if any (dry-run check)."""
-    try:
-        yield nxt()
-    except StopIteration:
-        return
+def run_chunks(sim, name: str, n: int, boundary: int, steps, pre, md):
+    """Run the batched pass 2 over ``(chunk, events, outcomes)`` steps.
 
+    The chunk loop both entry points share: :func:`run_batched` passes the
+    materialized trace as one step carrying its memoized event list and
+    script; the streaming run passes one step per chunk plus a final
+    chunkless step for the end-of-trace drain.  ``outcomes`` is the
+    ``(stream, walks, combiner)`` script for the step's events, or None
+    when ``md`` is None (live metadata caches).  ``pre.counters`` and
+    ``md.counts`` are read once the steps are exhausted.
+    """
+    window = None
+    snap = (0, 0)
+    start = tick_base = instr_base = 0
+    sim._in_warmup = boundary > 0
+    with ScriptFeed(sim) if md is not None else nullcontext() as feed:
+        for chunk, events, outcomes in steps:
+            ticks = ()
+            if chunk is not None and len(chunk):
+                ticks, instr = _chunk_ticks(chunk, tick_base, instr_base)
+                if start < boundary <= start + len(ticks):
+                    at = boundary - 1 - start
+                    snap = (ticks[at], int(instr[at]))
+                tick_base, instr_base = ticks[-1], int(instr[-1])
+            if outcomes is not None:
+                feed.extend(*outcomes)
+            window = dispatch_events(
+                sim, events, ticks, start, tick_base, boundary, snap, window
+            )
+            start += len(ticks)
+            # Release this step's buffers before the next one is built,
+            # so a stream holds one chunk's worth at a time, not two.
+            chunk = events = outcomes = ticks = instr = None
+        if start != n:
+            raise RuntimeError(f"chunk source yielded {start} ops; header promised {n}")
+    if window is None:
+        # No eventful op at or past the boundary.
+        window = _open_window(sim, snap)
+    sim._ticks = tick_base
+    _fold_counters(sim, pre.counters, md.counts if md is not None else None)
+    return sim._make_result(name, window, instr_base)
+
+
+def run_batched(sim, trace: MemoryTrace, warmup_fraction: float):
+    """Batched run of a materialized trace: one chunk, memoized prepass.
+
+    ``sim`` is a :class:`~repro.system.timing.TraceSimulator`; the
+    argument validation already happened in ``run()``.
+    """
+    n = len(trace)
+    boundary = int(n * warmup_fraction)
+    pre = _prepass_for(sim, trace)
+    script = None
+    outcomes = None
+    if wants_script(sim):
+        script = _metadata_script_for(sim, trace, boundary)
+        outcomes = (script.stream, script.walks, script.combiner)
+    steps = [(trace, pre.events, outcomes)]
+    return run_chunks(sim, trace.name, n, boundary, steps, pre, script)
 
 def _record_epoch(tracker, blocks, store_count: int) -> None:
     """Mirror the EpochTracker bookkeeping for a flushed epoch so

@@ -1,10 +1,8 @@
 """Parallel sweep infrastructure: job fan-out, result and trace caching.
 
 See :mod:`repro.sweep.runner` for the process-pool runner,
-:mod:`repro.sweep.cache` for the content-addressed result cache,
-:mod:`repro.sweep.trace_cache` for the packed binary trace cache, and
-:mod:`repro.sweep.shard` for epoch-safe sharding of one trace across
-the pool.
+:mod:`repro.sweep.cache` for the content-addressed result cache, and
+:mod:`repro.sweep.trace_cache` for the packed binary trace cache.
 """
 
 from repro.sweep.cache import (
@@ -30,7 +28,6 @@ from repro.sweep.runner import (
     run_matrix,
     run_tasks,
 )
-from repro.sweep.shard import plan_shards, run_sharded
 
 __all__ = [
     "JSONCache",
@@ -45,10 +42,8 @@ __all__ = [
     "default_workers",
     "generator_version",
     "job_key",
-    "plan_shards",
     "run_jobs",
     "run_matrix",
-    "run_sharded",
     "run_tasks",
     "trace_caching_disabled",
     "trace_key",

@@ -106,6 +106,12 @@ class SystemConfig:
     ``telemetry``, this knob is excluded from result-cache keys."""
 
     def __post_init__(self) -> None:
+        if isinstance(self.scheme, str):
+            self.scheme = UpdateScheme.from_name(self.scheme)
+        elif not isinstance(self.scheme, UpdateScheme):
+            raise ValueError(
+                f"scheme must be an UpdateScheme or its name, got {self.scheme!r}"
+            )
         if self.engine not in ("batched", "skip_ahead", "stepped"):
             raise ValueError(
                 "engine must be 'batched', 'skip_ahead' or 'stepped', "
@@ -114,8 +120,8 @@ class SystemConfig:
         if self.mac_latency < 0:
             raise ValueError("mac_latency must be non-negative")
         # Degenerate capacities used to slip through silently and blow
-        # up far from the constructor (epoch_size=0 reaches a
-        # mod-by-zero in sweep/shard.plan_shards and corrupts epoch
+        # up far from the constructor (epoch_size=0 is only caught once
+        # an epoch scheme builds its EpochTracker, and corrupts epoch
         # accounting; wpq_entries=0 cannot admit any persist).
         for name in (
             "epoch_size",

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.schedulers import OccupancyRing, make_scoreboard
 from repro.core.schemes import UpdateScheme
@@ -41,7 +41,9 @@ from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.metadata_cache import MetadataCaches
 from repro.mem.nvm import NVMModel
 from repro.persistency.epochs import Epoch, EpochTracker
+from repro.sim.batched import run_batched
 from repro.sim.stats import StatsRegistry
+from repro.sim.stream import run_batched_stream
 from repro.system.config import SystemConfig
 from repro.telemetry.bus import Telemetry
 from repro.telemetry.events import EventKind
@@ -79,57 +81,12 @@ class SimResult:
         return self.cycles / baseline.cycles
 
 
-def merge_results(partials: List["SimResult"]) -> "SimResult":
-    """Merge per-shard partial :class:`SimResult`\\ s into the whole-run one.
-
-    Every top-level field of a partial is a *delta* over its shard
-    (cycles are the integer-truncated end-cycle difference between
-    consecutive shard boundaries, so they telescope; the counter stats
-    are flat per-shard differences), which makes the merge exact: sums
-    of deltas reproduce the unsharded integers bit for bit.  The sharded
-    runner's differential check (``bench_perf``/tests) asserts exactly
-    that against a direct run for every scheme.
-    """
-    if not partials:
-        raise ValueError("merge_results needs at least one partial result")
-    first = partials[0]
-    for other in partials[1:]:
-        if other.scheme != first.scheme or other.trace_name != first.trace_name:
-            raise ValueError(
-                "cannot merge results from different schemes or traces: "
-                f"{first.scheme}/{first.trace_name} vs {other.scheme}/{other.trace_name}"
-            )
-    from repro.sim.stats import merge_stat_dicts
-
-    return SimResult(
-        scheme=first.scheme,
-        trace_name=first.trace_name,
-        cycles=max(sum(p.cycles for p in partials), 1),
-        instructions=sum(p.instructions for p in partials),
-        persists=sum(p.persists for p in partials),
-        node_updates=sum(p.node_updates for p in partials),
-        bmt_cache_misses=sum(p.bmt_cache_misses for p in partials),
-        stats=merge_stat_dicts([p.stats for p in partials]),
-    )
-
-
 def _source_name_len(source) -> Tuple[str, int]:
     """Name and op count of a chunk source (TraceReader or MemoryTrace)."""
     if hasattr(source, "summary"):
         summary = source.summary()
         return summary.name, summary.record_count
     return source.name, len(source)
-
-
-def _source_chunks(source, segment_ops: Optional[int]):
-    """Chunk iterator of a source, honoring an explicit chunk size.
-
-    On-disk readers chunk at the segment boundaries baked into the v2
-    file; only in-memory traces accept a chunk-size override.
-    """
-    if segment_ops is not None and isinstance(source, MemoryTrace):
-        return source.chunks(segment_ops)
-    return source.chunks()
 
 
 class _WriteCombiner:
@@ -330,59 +287,10 @@ class TraceSimulator:
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if self.config.engine == "batched":
-            from repro.sim.batched import run_batched
-
             return run_batched(self, trace, warmup_fraction)
-        return self._run_scalar(trace, warmup_fraction)
+        return self._run_scalar(trace.name, len(trace), (trace,), warmup_fraction)
 
-    def _run_scalar(
-        self, trace: MemoryTrace, warmup_fraction: float
-    ) -> SimResult:
-        boundary = int(len(trace) * warmup_fraction)
-        instructions = 0
-        window = _WindowSnapshot()
-        self._in_warmup = boundary > 0
-        # Local bindings: this loop dominates simulation wall-clock.  It
-        # walks the trace's packed columns directly — integer kind codes
-        # and primitive array values, no per-record object and no enum
-        # identity checks.  The clock only needs materializing inside
-        # the handlers, so the loop advances the integer tick count.
-        protect_stack = self._protect_stack
-        load = self._load
-        store = self._store
-        barrier = self._barrier
-        sfence = KIND_SFENCE
-        load_kind = KIND_LOAD
-        ticks = self._ticks
-        index = 0
-        for kind, address, gap, persistent in zip(
-            trace.kind_codes, trace.addresses, trace.gaps, trace.persistent_flags
-        ):
-            if index == boundary:
-                self._in_warmup = False
-                self._ticks = ticks
-                window = self._snapshot(instructions)
-            index += 1
-            instructions += gap + 1
-            if kind == sfence:
-                self._ticks = ticks + gap
-                ticks = self._ticks
-                barrier()
-            elif kind == load_kind:
-                ticks += gap + 1
-                self._ticks = ticks
-                load(address >> 6)
-            else:
-                ticks += gap + 1
-                self._ticks = ticks
-                store(address >> 6, persistent or protect_stack)
-        self._ticks = ticks
-        self._drain()
-        return self._make_result(trace.name, window, instructions)
-
-    def run_stream(
-        self, source, warmup_fraction: float = 0.2, segment_ops: Optional[int] = None
-    ) -> SimResult:
+    def run_stream(self, source, warmup_fraction: float = 0.2) -> SimResult:
         """Simulate a chunked trace source without materializing it.
 
         ``source`` is anything yielding packed column chunks — a
@@ -398,21 +306,26 @@ class TraceSimulator:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if self.epochs is not None:
             self.epochs.retain_closed = False
-        if self.config.engine == "batched":
-            from repro.sim.stream import run_batched_stream
-
-            return run_batched_stream(self, source, warmup_fraction, segment_ops)
-        return self._run_scalar_stream(source, warmup_fraction, segment_ops)
-
-    def _run_scalar_stream(
-        self, source, warmup_fraction: float, segment_ops: Optional[int] = None
-    ) -> SimResult:
-        """The scalar loop of ``_run_scalar``, fed one chunk at a time."""
         name, total = _source_name_len(source)
+        if self.config.engine == "batched":
+            return run_batched_stream(self, name, total, source.chunks(), warmup_fraction)
+        return self._run_scalar(name, total, source.chunks(), warmup_fraction)
+
+    def _run_scalar(
+        self, name: str, total: int, chunks, warmup_fraction: float
+    ) -> SimResult:
+        """The scalar engines' op loop over ``total`` ops of packed
+        column chunks; ``run`` passes the materialized trace as the
+        only chunk."""
         boundary = int(total * warmup_fraction)
         instructions = 0
         window = _WindowSnapshot()
         self._in_warmup = boundary > 0
+        # Local bindings: this loop dominates simulation wall-clock.  It
+        # walks the packed columns directly — integer kind codes and
+        # primitive array values, no per-record object and no enum
+        # identity checks.  The clock only needs materializing inside
+        # the handlers, so the loop advances the integer tick count.
         protect_stack = self._protect_stack
         load = self._load
         store = self._store
@@ -421,7 +334,7 @@ class TraceSimulator:
         load_kind = KIND_LOAD
         ticks = self._ticks
         index = 0
-        for chunk in _source_chunks(source, segment_ops):
+        for chunk in chunks:
             for kind, address, gap, persistent in zip(
                 chunk.kind_codes, chunk.addresses, chunk.gaps, chunk.persistent_flags
             ):
@@ -443,6 +356,8 @@ class TraceSimulator:
                     ticks += gap + 1
                     self._ticks = ticks
                     store(address >> 6, persistent or protect_stack)
+        if index != total:
+            raise RuntimeError(f"chunk source yielded {index} ops; header promised {total}")
         self._ticks = ticks
         self._drain()
         return self._make_result(name, window, instructions)

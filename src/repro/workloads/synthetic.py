@@ -439,9 +439,9 @@ def lca_pingpong_ops(
     (§IV-B2) finds almost no shared path to absorb.  Rotating through
     several pairs additionally defeats counter/MAC cache reuse.  With
     ``sfence_every > 0`` an SFENCE closes an epoch every that many
-    stores, exercising epoch-drain sharding splits on a worst-case
-    persist stream.  Fully deterministic in ``seed`` (it only jitters
-    each pair's position within its page).
+    stores, exercising epoch flushes on a worst-case persist stream.
+    Fully deterministic in ``seed`` (it only jitters each pair's
+    position within its page).
     """
     if num_stores < 0:
         raise ValueError("num_stores must be non-negative")

@@ -213,11 +213,10 @@ class _RecordsView(Sequence):
 # and the payload is a sequence of fixed-size *segments*, each holding
 # its own four column slices back-to-back.  Every index entry carries
 # the segment's byte offset plus summary statistics (loads, stores,
-# persistent stores, sfences, gap sum), so inspecting a trace — or
-# planning shard boundaries near even op splits — touches only the
-# header and the index, never the column data.  The index lives at the
-# end so :class:`TraceWriter` can stream segments to disk and backpatch
-# the header on close.
+# persistent stores, sfences, gap sum), so inspecting a trace touches
+# only the header and the index, never the column data.  The index
+# lives at the end so :class:`TraceWriter` can stream segments to disk
+# and backpatch the header on close.
 TRACE_MAGIC = b"PLPTRACE"
 TRACE_FORMAT_VERSION = 1
 TRACE_FORMAT_VERSION_V2 = 2

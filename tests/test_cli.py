@@ -295,27 +295,3 @@ def test_trace_stream_multi_tenant_roundtrip(capsys, tmp_path):
         summary = reader.summary()
     assert summary.name == "multi_tenant"
     assert summary.record_count == 2000
-
-
-def test_sweep_shards_matches_unsharded(capsys):
-    argv = [
-        "sweep",
-        "--benchmark",
-        "gamess",
-        "--scheme",
-        "o3",
-        "--param",
-        "epoch_size",
-        "--values",
-        "16,64",
-        "--ki",
-        "5",
-    ]
-    code, plain, _ = run_cli(capsys, *argv, "--no-cache")
-    assert code == 0
-    code, sharded, _ = run_cli(capsys, *argv, "--shards", "3")
-    assert code == 0
-    # Identical tables: the sharded merge is bit-identical per point.
-    table = lambda text: [l for l in text.splitlines() if "x" in l and "|" not in l]
-    assert table(plain)[:-1] == table(sharded)[:-1]
-    assert "3 shards" in sharded

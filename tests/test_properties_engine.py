@@ -8,6 +8,8 @@ skip-ahead rewrite must preserve:
   program order under epoch persistency;
 * **2SP gathering** — a WPQ entry is always gathered (enqueued) before
   it is released, on the telemetry streams of either engine family;
+* **chunk resumption** — ``run_stream`` over a v2 trace of any segment
+  size equals the materialized ``run``;
 * **monotone clock** — the discrete-event queue never runs time
   backwards, and a :class:`CompletionHeap` releases completions in
   non-decreasing order.
@@ -30,7 +32,8 @@ from repro.sim.engine import CompletionHeap, Engine
 from repro.system.config import SystemConfig
 from repro.system.timing import TraceSimulator
 from repro.telemetry.config import TelemetryConfig
-from repro.workloads.trace import KIND_LOAD, KIND_SFENCE, KIND_STORE, MemoryTrace
+from repro.workloads.synthetic import kvstore_trace
+from repro.workloads.trace import KIND_LOAD, KIND_SFENCE, KIND_STORE, MemoryTrace, TraceReader
 
 GEOMETRY = BMTGeometry(num_leaves=512, arity=8)
 
@@ -151,6 +154,35 @@ def test_engines_bit_identical_on_hazard_traces(scheme, ops, epoch_size, wpq_ent
         ]
     assert results["batched"] == results["skip_ahead"] == results["stepped"]
     assert events["batched"] == events["skip_ahead"] == events["stepped"]
+
+
+# ----------------------------------------------------------------------
+# chunk-resumable state: run_stream == run at any v2 segment size
+# ----------------------------------------------------------------------
+
+
+_STREAM_TRACE = kvstore_trace(150, num_keys=64, seed=41)
+_STREAM_REFS = {}
+
+
+@given(
+    segment_ops=st.integers(1, len(_STREAM_TRACE)),
+    scheme=st.sampled_from(list(UpdateScheme)),
+    engine=st.sampled_from(ENGINES),
+    warmup=st.sampled_from([0.0, 0.2, 0.5]),
+)
+@settings(max_examples=40, deadline=None)
+def test_run_stream_matches_run_at_any_segment_size(segment_ops, scheme, engine, warmup):
+    """Streaming a v2 trace cut into segments of any size reproduces
+    the materialized run: the prepass, metadata replay, epoch and
+    warmup-window state all resume exactly across chunk boundaries."""
+    config = SystemConfig(scheme=scheme, engine=engine)
+    key = (scheme, engine, warmup)
+    if key not in _STREAM_REFS:
+        _STREAM_REFS[key] = TraceSimulator(config).run(_STREAM_TRACE, warmup)
+    blob = _STREAM_TRACE.to_bytes(version=2, segment_ops=segment_ops)
+    with TraceReader.from_bytes(blob) as reader:
+        assert TraceSimulator(config).run_stream(reader, warmup) == _STREAM_REFS[key]
 
 
 # ----------------------------------------------------------------------

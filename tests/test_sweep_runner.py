@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -91,7 +92,12 @@ def test_duplicate_jobs_share_one_execution(tmp_path):
 
 
 def _worker_pid(spec):
-    """Module-level (picklable) probe: which process ran this spec."""
+    """Module-level (picklable) probe: which process ran this spec.
+
+    The short sleep keeps one live worker from draining a whole sweep
+    before the other picks up a task, so a reused pool shows up as
+    shared pids rather than depending on scheduling luck."""
+    time.sleep(0.02)
     return os.getpid()
 
 

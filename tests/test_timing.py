@@ -48,6 +48,27 @@ def test_config_validation():
         SystemConfig(memory_bytes=100)
 
 
+def test_config_coerces_scheme_name():
+    """Regression: a scheme name used to construct, then fail inside
+    TraceSimulator with an AttributeError on the str."""
+    cfg = SystemConfig(scheme="SP")
+    assert cfg.scheme is UpdateScheme.SP
+    assert cfg.variant(scheme="coalescing").scheme is UpdateScheme.COALESCING
+    result = TraceSimulator(cfg).run(sequential_stream(50, gap=4), 0.0)
+    assert result.scheme == "sp"
+
+
+def test_config_rejects_unknown_scheme_name():
+    with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+        SystemConfig(scheme="bogus")
+
+
+@pytest.mark.parametrize("value", [3, None, UpdateScheme])
+def test_config_rejects_non_scheme_value(value):
+    with pytest.raises(ValueError, match="scheme must be an UpdateScheme"):
+        SystemConfig(scheme=value)
+
+
 @pytest.mark.parametrize(
     "field",
     [
@@ -61,9 +82,9 @@ def test_config_validation():
 )
 @pytest.mark.parametrize("value", [0, -1])
 def test_config_rejects_degenerate_capacities(field, value):
-    """Regression: epoch_size=0 used to slip through and hit a
-    mod-by-zero deep in sweep/shard.plan_shards; wpq_entries=0 could
-    never admit a persist.  The constructor must reject them."""
+    """Regression: epoch_size=0 used to slip through and fail only deep
+    inside the simulator's EpochTracker; wpq_entries=0 could never
+    admit a persist.  The constructor must reject them."""
     with pytest.raises(ValueError, match=f"{field} must be positive"):
         SystemConfig(**{field: value})
 

@@ -5,10 +5,11 @@ Covers the PLPTRACE v2 layer end to end: ``TraceWriter`` emission vs
 chunk iteration parity with ``MemoryTrace.chunks``, the reader's
 ``from_bytes``-grade hardening against truncated/corrupt files, and the
 bounded-memory ``run_stream`` differential against the materialized
-``run`` on every scheme.
+``run`` on every scheme and all three engines.
 """
 
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -266,33 +267,52 @@ def test_reader_empty_segment_rejected(trace):
 # ----------------------------------------------------------------------
 
 
+def _assert_stream_matches_run(trace, tmp_path, config, segment_ops):
+    """``run_stream`` over the in-memory trace and over a v2 file with
+    an awkward segment size both equal the materialized ``run``."""
+    ref = TraceSimulator(config).run(trace, 0.2)
+    assert TraceSimulator(config).run_stream(trace, 0.2) == ref
+    path = tmp_path / "t.plptrace"
+    trace.save_binary(path, version=2, segment_ops=segment_ops)
+    with TraceReader(path) as reader:
+        assert TraceSimulator(config).run_stream(reader, 0.2) == ref
+
+
 @pytest.mark.parametrize("scheme", list(UpdateScheme))
 def test_run_stream_matches_run_batched(trace, tmp_path, scheme):
-    config = SystemConfig(scheme=scheme)
-    ref = TraceSimulator(config).run(trace, 0.2)
-    # In-memory chunk source with an awkward segment size.
-    streamed = TraceSimulator(config).run_stream(trace, 0.2, segment_ops=67)
-    assert streamed == ref
-    # On-disk v2 source.
-    path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=2, segment_ops=59)
-    with TraceReader(path) as reader:
-        from_file = TraceSimulator(config).run_stream(reader, 0.2)
-    assert from_file == ref
+    _assert_stream_matches_run(trace, tmp_path, SystemConfig(scheme=scheme), 67)
 
 
-@pytest.mark.parametrize("scheme", [UpdateScheme.SP, UpdateScheme.COALESCING])
-def test_run_stream_matches_run_skip_ahead(trace, scheme):
+@pytest.mark.parametrize("scheme", list(UpdateScheme))
+def test_run_stream_matches_run_skip_ahead(trace, tmp_path, scheme):
     config = SystemConfig(scheme=scheme, engine="skip_ahead")
-    ref = TraceSimulator(config).run(trace, 0.2)
-    streamed = TraceSimulator(config).run_stream(trace, 0.2, segment_ops=73)
-    assert streamed == ref
+    _assert_stream_matches_run(trace, tmp_path, config, 73)
+
+
+@pytest.mark.parametrize("scheme", list(UpdateScheme))
+def test_run_stream_matches_run_stepped(trace, tmp_path, scheme):
+    config = SystemConfig(scheme=scheme, engine="stepped")
+    _assert_stream_matches_run(trace, tmp_path, config, 59)
 
 
 def test_run_stream_zero_warmup(trace):
     config = SystemConfig(scheme=UpdateScheme.SP)
     ref = TraceSimulator(config).run(trace, 0.0)
-    assert TraceSimulator(config).run_stream(trace, 0.0, segment_ops=31) == ref
+    with TraceReader.from_bytes(_v2_bytes(trace, segment_ops=31)) as reader:
+        assert TraceSimulator(config).run_stream(reader, 0.0) == ref
+
+
+@pytest.mark.parametrize("engine", ["batched", "skip_ahead"])
+def test_run_stream_rejects_short_source(trace, engine):
+    """The op count a source's header promises is checked against the
+    ops its chunks actually yield, on both engine families."""
+    short = SimpleNamespace(
+        summary=lambda: SimpleNamespace(name=trace.name, record_count=len(trace) + 1),
+        chunks=lambda: trace.chunks(50),
+    )
+    sim = TraceSimulator(SystemConfig(scheme=UpdateScheme.O3, engine=engine))
+    with pytest.raises(RuntimeError, match="header promised"):
+        sim.run_stream(short, 0.2)
 
 
 def test_run_stream_rejects_bad_warmup(trace):
