@@ -178,7 +178,7 @@ def run_trace_stages(benchmarks, ki: int, cache_root: Path) -> list:
         print("FAIL: warm trace cache missed", file=sys.stderr)
         raise SystemExit(1)
     for loaded, fresh in zip(warm, generated):
-        if loaded.records != fresh.records or loaded.name != fresh.name:
+        if loaded != fresh:
             print("FAIL: cached trace diverged from the generator", file=sys.stderr)
             raise SystemExit(1)
 

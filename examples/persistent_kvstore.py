@@ -21,6 +21,7 @@ from repro.system.config import SystemConfig
 from repro.system.factory import run_trace
 from repro.system.secure_memory import FunctionalSecureMemory
 from repro.workloads.synthetic import kvstore_trace
+from repro.workloads.trace import MemoryTrace, OpKind
 
 SLOT_BYTES = 64
 TABLE_BASE = 0x10000
@@ -97,8 +98,10 @@ def performance_demo() -> None:
     print("epoch persistency gets little intra-epoch parallelism here —")
     print("the paper's point that PLP grows with epoch size.  Batching")
     print("commits (larger epochs) closes the gap:")
-    batched = kvstore_trace(3000, num_keys=2048, put_fraction=0.5, seed=11)
-    batched.records = [r for r in batched.records if r.kind.value != "F"]
+    commits = kvstore_trace(3000, num_keys=2048, put_fraction=0.5, seed=11)
+    batched = MemoryTrace(
+        (r for r in commits if r.kind is not OpKind.SFENCE), name=commits.name
+    )
     for scheme in ("o3", "coalescing"):
         result = run_trace(trace=batched, scheme=scheme, config=config)
         print(f"  {scheme:12s} epoch=32: {result.slowdown_vs(run_trace(batched, 'secure_wb', config)):.2f}x")

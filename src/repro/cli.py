@@ -151,7 +151,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     trace = cached_profile_trace(args.benchmark, args.ki, args.seed)
     if args.out is not None:
         if args.format == "binary":
-            trace.save_binary(args.out)
+            trace.save_binary(args.out, segment_ops=args.segment_ops)
         else:
             trace.save(args.out)
         import os as _os
@@ -177,8 +177,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def _trace_inspect(path: str) -> int:
     """Summarize a trace file from its header + segment index alone.
 
-    For a chunked v2 file this reads O(1) bytes regardless of trace
-    length — the columns are never touched.
+    This reads O(1) bytes regardless of trace length — the columns are
+    never touched.
     """
     from repro.workloads.trace import TraceFormatError, TraceReader
 
@@ -207,7 +207,7 @@ _STREAM_GENERATORS = ("synthetic", "lca_pingpong", "multi_tenant")
 
 
 def _trace_stream(args: argparse.Namespace) -> int:
-    """Stream-generate a chunked v2 trace straight to disk.
+    """Stream-generate a chunked binary trace straight to disk.
 
     Peak memory is one segment's columns, so ``--ops 10000000`` works on
     a small machine; the result is inspectable with ``--inspect``.
@@ -589,13 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--inspect",
         metavar="PATH",
         default=None,
-        help="summarize a trace file from its header/index only (O(1) for v2)",
+        help="summarize a binary trace file from its header/index only (O(1))",
     )
     trace.add_argument(
         "--stream",
         choices=_STREAM_GENERATORS,
         default=None,
-        help="stream-generate a v2 trace straight to --out in bounded memory",
+        help="stream-generate a binary trace straight to --out in bounded memory",
     )
     trace.add_argument(
         "--ops", type=int, default=1_000_000, help="record count for --stream"
@@ -607,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--segment-ops",
         type=int,
         default=262_144,
-        help="v2 segment size for --stream output",
+        help="segment size (ops) of binary --out and --stream output",
     )
     trace.set_defaults(func=cmd_trace)
 

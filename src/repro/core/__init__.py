@@ -16,17 +16,19 @@ Scheme         Persistency    BMT update mechanism
 
 Two model fidelities are provided and cross-validated in the tests:
 
-* :mod:`repro.core.update_engine` — cycle-stepped engines that drive the
-  PTT/ETT hardware tables exactly as §V describes;
+* :mod:`repro.core.update_engine` — the cycle-accurate reference
+  engine, which drives the PTT/ETT hardware tables exactly as §V
+  describes;
 * :mod:`repro.core.schedulers` — closed-form scoreboard models with the
-  same scheduling rules, used for large trace-driven runs.
+  same scheduling rules, used for large trace-driven runs.  The timing
+  simulator (:mod:`repro.system.timing`) couples them to the WPQ, so it
+  is the one model of the full Fig. 6 controller path.
 """
 
 from repro.core.schemes import UpdateScheme
 from repro.core.ptt import PersistTrackingTable, PTTEntry
 from repro.core.ett import EpochTrackingTable, ETTEntry
 from repro.core.coalescing import CoalescingUnit, CoalescedPersist
-from repro.core.controller import MemoryControllerPipeline, PersistOutcome
 from repro.core.update_engine import (
     CycleAccurateEngine,
     EngineConfig,
@@ -50,8 +52,6 @@ __all__ = [
     "ETTEntry",
     "CoalescingUnit",
     "CoalescedPersist",
-    "MemoryControllerPipeline",
-    "PersistOutcome",
     "CycleAccurateEngine",
     "EngineConfig",
     "PersistEvent",

@@ -1,13 +1,16 @@
-"""Discrete-event simulation kernel used by the timing models.
+"""Simulation support shared by the timing models.
 
-The kernel is deliberately small: a cycle clock, an event queue, and a
-statistics registry.  The heavy lifting (caches, BMT update engines, the
-write pending queue) lives in the other subpackages and is driven either
-event-by-event through :class:`~repro.sim.engine.Engine` or analytically
-through the scoreboard models in :mod:`repro.core.schedulers`.
+:mod:`repro.sim.stats` is the statistics registry (plus the
+geometric-mean helper the figures use); :mod:`repro.sim.engine` holds
+the :class:`~repro.sim.engine.CompletionHeap` the cycle-accurate update
+engine advances its clock with; :mod:`repro.sim.batched` and
+:mod:`repro.sim.stream` are the array-native timing engine over
+materialized and chunked traces.  The heavy lifting (caches, BMT
+update engines, the write pending queue) lives in the other
+subpackages and is driven analytically through the scoreboard models
+in :mod:`repro.core.schedulers`.
 """
 
-from repro.sim.engine import Engine, Event
 from repro.sim.stats import Counter, Histogram, StatsRegistry
 
-__all__ = ["Engine", "Event", "Counter", "Histogram", "StatsRegistry"]
+__all__ = ["Counter", "Histogram", "StatsRegistry"]

@@ -5,11 +5,14 @@ kilo_instructions, seed)`` — a pure-Python RNG walk that dominates cold
 sweep start-up.  Traces are deterministic functions of those inputs plus
 the *generator version* (the ``repro.workloads`` sources), so this cache
 keys each trace by a SHA-256 digest over exactly that tuple and stores
-the packed binary format written by
-:meth:`~repro.workloads.trace.MemoryTrace.save_binary`.  A warm hit is a
-single ``array.fromfile`` read of the four columns — orders of magnitude
+the chunked binary trace format (PLPTRACE v2, written by
+:class:`~repro.workloads.trace.TraceWriter`).  A warm hit is a
+:class:`~repro.workloads.trace.TraceReader` pass: a header and index
+parse, then one bulk read per column per segment — orders of magnitude
 faster than re-running the generator — and any edit to the generator
-sources invalidates the whole cache.
+sources invalidates the whole cache.  A file in any other format
+version raises :class:`~repro.workloads.trace.TraceFormatError` and is
+treated as a miss.
 
 Layout: one binary file per trace under
 ``<root>/<key[:2]>/<key>.trace``.  The root defaults to
@@ -96,10 +99,11 @@ class TraceCache:
     def put(self, benchmark: str, kilo_instructions: int, seed: int, trace: MemoryTrace) -> None:
         """Store a packed trace atomically (write-then-rename).
 
-        The payload is packed once with :meth:`MemoryTrace.to_bytes` and
-        written in a single call — ``save_binary``'s per-column
-        ``tofile`` writes plus a ``mkstemp`` round-trip made the cold
-        cache measurably slower than not caching at all on small traces.
+        The payload is packed once in memory with
+        :meth:`MemoryTrace.to_bytes` and written in a single call —
+        per-column file writes plus a ``mkstemp`` round-trip made the
+        cold cache measurably slower than not caching at all on small
+        traces.
         The temp name is pid-suffixed, so concurrent writers (sweep
         workers racing on the same cold key) never collide, and the
         ``os.replace`` keeps readers crash-consistent.

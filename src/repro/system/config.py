@@ -130,10 +130,44 @@ class SystemConfig:
             "ett_entries",
             "bmt_arity",
             "triad_persist_levels",
+            # Rates the engines divide by and sizes they build tables
+            # from; a bad one must fail here, not deep in an engine.
+            "clock_ghz",
+            "core_ipc",
+            "load_mlp",
+            "memory_bytes",
+            "bmt_min_levels",
+            "l1_assoc",
+            "l2_assoc",
+            "l3_assoc",
+            "metadata_assoc",
+            "l1_bytes",
+            "l2_bytes",
+            "l3_bytes",
+            "counter_cache_bytes",
+            "mac_cache_bytes",
+            "bmt_cache_bytes",
         ):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        # Every cache must hold at least one full set; the scalar engines'
+        # Cache rejects a smaller one, which the batched engine's own set
+        # arithmetic would otherwise accept.
+        for size_name, assoc_name in (
+            ("l1_bytes", "l1_assoc"),
+            ("l2_bytes", "l2_assoc"),
+            ("l3_bytes", "l3_assoc"),
+            ("counter_cache_bytes", "metadata_assoc"),
+            ("mac_cache_bytes", "metadata_assoc"),
+            ("bmt_cache_bytes", "metadata_assoc"),
+        ):
+            size, assoc = getattr(self, size_name), getattr(self, assoc_name)
+            if size // BLOCK_BYTES < assoc:
+                raise ValueError(
+                    f"{size_name}={size} is smaller than one set of "
+                    f"{assoc_name}={assoc} {BLOCK_BYTES} B lines"
+                )
         if self.memory_bytes % PAGE_BYTES:
             raise ValueError("memory size must be page aligned")
         if self.counter_organization not in ("split", "monolithic"):

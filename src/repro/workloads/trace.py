@@ -11,30 +11,33 @@ four parallel primitive arrays (kind codes, addresses, gaps, persistent
 flags) instead of a list of per-record objects.  A million-record trace
 is four contiguous buffers (~14 B/record) rather than a million boxed
 dataclasses, and the simulator hot loop iterates the columns directly
-with integer kind codes.  :class:`TraceRecord` and the ``records``
-sequence remain as a thin compatibility view for callers that want
-object-per-record semantics.
+with integer kind codes.  Iterating a trace yields :class:`TraceRecord`
+objects for callers that want object-per-record semantics.
 
 Two interchangeable serializations are provided:
 
 * a human-readable **text format** (one ``K address gap persistent``
   line per record, ``# trace <name>`` header) via :meth:`MemoryTrace.save`
   / :meth:`MemoryTrace.load`, and
-* a versioned **binary format** (:data:`TRACE_MAGIC` header followed by
-  the raw column bytes, written with ``array.tofile``) via
-  :meth:`MemoryTrace.save_binary` / :meth:`MemoryTrace.load_binary` —
-  the packed artifact the sweep trace cache stores and memory-maps
-  loads from.
+* the chunked **binary format** PLPTRACE v2 (:data:`TRACE_MAGIC` header,
+  column segments, trailing segment index), written by
+  :class:`TraceWriter` and read by :class:`TraceReader`;
+  :meth:`MemoryTrace.save_binary` / :meth:`MemoryTrace.load_binary` are
+  whole-trace shorthands for the two — the packed artifact the sweep
+  trace cache stores and the streaming engine reads chunk by chunk.
 """
 
 from __future__ import annotations
 
 import enum
+import io
 import struct
 import sys
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, overload
+from typing import BinaryIO, Iterable, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 BLOCK_SHIFT = 6
 PAGE_SHIFT = 12
@@ -66,7 +69,7 @@ _CODE_TO_VALUE = {code: kind.value for kind, code in _KIND_TO_CODE.items()}
 
 
 class TraceRecord:
-    """One trace entry (compatibility view over the packed columns).
+    """One trace entry (an object view of one row of the packed columns).
 
     Attributes:
         kind: Load, store, or persist barrier.
@@ -121,109 +124,23 @@ class TraceRecord:
         return self.address >> PAGE_SHIFT
 
 
-class _RecordsView(Sequence):
-    """Read-only sequence of :class:`TraceRecord` over a trace's columns.
-
-    Records are materialized on demand; two views over equal columns
-    compare equal without building any record objects.
-    """
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: "MemoryTrace") -> None:
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.kind_codes)
-
-    @overload
-    def __getitem__(self, index: int) -> TraceRecord: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> List[TraceRecord]: ...
-
-    def __getitem__(self, index):
-        trace = self._trace
-        if isinstance(index, slice):
-            rng = range(*index.indices(len(self)))
-            return [trace.record_at(i) for i in rng]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("trace record index out of range")
-        return trace.record_at(index)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._trace)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _RecordsView):
-            a, b = self._trace, other._trace
-            return (
-                a.kind_codes == b.kind_codes
-                and a.addresses == b.addresses
-                and a.gaps == b.gaps
-                and a.persistent_flags == b.persistent_flags
-            )
-        if isinstance(other, (list, tuple)):
-            # Compare the packed columns against the records directly —
-            # no TraceRecord is materialized on our side.
-            trace = self._trace
-            if len(self) != len(other):
-                return False
-            code_to_kind = _CODE_TO_KIND
-            for code, address, gap, persistent, theirs in zip(
-                trace.kind_codes,
-                trace.addresses,
-                trace.gaps,
-                trace.persistent_flags,
-                other,
-            ):
-                if not isinstance(theirs, TraceRecord):
-                    return False
-                if (
-                    code_to_kind[code] is not theirs.kind
-                    or address != theirs.address
-                    or gap != theirs.gap
-                    or bool(persistent) != theirs.persistent
-                ):
-                    return False
-            return True
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __repr__(self) -> str:
-        return f"<records view of {self._trace!r}>"
-
-
-# Binary trace format: little-endian header followed by the raw bytes
-# of the four columns in declaration order.
-#
-# v1 stores the whole trace column-major (all kind codes, then all
-# addresses, ...), so loading is four bulk reads but anything less than
-# the full trace cannot be read without seeking per column.
-#
-# v2 is the chunked layout for multi-GB traces: the header grows a
-# segment-size field and the offset of a trailing per-segment index,
-# and the payload is a sequence of fixed-size *segments*, each holding
-# its own four column slices back-to-back.  Every index entry carries
-# the segment's byte offset plus summary statistics (loads, stores,
-# persistent stores, sfences, gap sum), so inspecting a trace touches
-# only the header and the index, never the column data.  The index
-# lives at the end so :class:`TraceWriter` can stream segments to disk
-# and backpatch the header on close.
+# Binary trace format (PLPTRACE v2): little-endian header, the trace
+# name, then a sequence of fixed-size *segments*, each holding its own
+# four column slices back-to-back, then a trailing per-segment index.
+# Every index entry carries the segment's byte offset plus summary
+# statistics (loads, stores, persistent stores, sfences, gap sum), so
+# inspecting a trace touches only the header and the index, never the
+# column data.  The index lives at the end so :class:`TraceWriter` can
+# stream segments to disk and backpatch the header on close.  Readers
+# reject every other version, version 1 (unsegmented) included.
 TRACE_MAGIC = b"PLPTRACE"
-TRACE_FORMAT_VERSION = 1
-TRACE_FORMAT_VERSION_V2 = 2
-_HEADER = struct.Struct("<8sHHIQ")  # magic, version, reserved, name length, record count
-# v2 header: the v1 fields followed by segment size (ops), segment
-# count, and the byte offset of the segment index.
-_HEADER_V2 = struct.Struct("<8sHHIQIIQ")
+TRACE_FORMAT_VERSION = 2
+# magic, version, reserved, name length, record count, segment size
+# (ops), segment count, byte offset of the segment index.
+_HEADER = struct.Struct("<8sHHIQIIQ")
+# Magic and version lead every PLPTRACE version, so a file of another
+# version is named as such even when it is shorter than this header.
+_PREAMBLE = struct.Struct("<8sH")
 # One index entry per segment: byte offset, op count, loads, stores,
 # persistent stores, sfences, gap sum.
 _SEGMENT_ENTRY = struct.Struct("<QIIIIIQ")
@@ -232,8 +149,31 @@ _ROW_BYTES = 14  # 1 B kind + 8 B address + 4 B gap + 1 B flag
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
+def _segment_stats(kinds: array, gaps: array, flags: array) -> Tuple[int, int, int, int, int]:
+    """One segment's index statistics — loads, stores, persistent
+    stores, sfences, gap sum — counted in numpy over the column
+    buffers rather than op by op in Python."""
+    codes = np.frombuffer(kinds, dtype=np.uint8)
+    is_store = codes == KIND_STORE
+    persistent = np.frombuffer(flags, dtype=np.uint8) != 0
+    return (
+        int(np.count_nonzero(codes == KIND_LOAD)),
+        int(np.count_nonzero(is_store)),
+        int(np.count_nonzero(is_store & persistent)),
+        int(np.count_nonzero(codes == KIND_SFENCE)),
+        int(np.frombuffer(gaps, dtype=np.uint32).sum(dtype=np.uint64)),
+    )
+
+
+def _swapped(col: array) -> array:
+    copy = array(col.typecode, col)
+    copy.byteswap()
+    return copy
+
+
 class TraceFormatError(ValueError):
-    """Raised when binary trace bytes fail header or size validation."""
+    """Raised when a trace file fails validation: a binary trace's
+    header, index or size, or a malformed line of a text trace."""
 
 
 class MemoryTrace:
@@ -241,8 +181,8 @@ class MemoryTrace:
 
     The four public column attributes (``kind_codes``, ``addresses``,
     ``gaps``, ``persistent_flags``) are parallel ``array`` instances of
-    equal length; hot paths iterate them directly.  ``records`` exposes
-    the classic record-object view.
+    equal length; hot paths iterate them directly.  Iterating the trace
+    yields :class:`TraceRecord` objects.
     """
 
     __slots__ = (
@@ -286,37 +226,6 @@ class MemoryTrace:
         if self._stat_cache:
             self._stat_cache.clear()
 
-    # ------------------------------------------------------------------
-    # record view
-    # ------------------------------------------------------------------
-
-    def record_at(self, index: int) -> TraceRecord:
-        """Materialize one :class:`TraceRecord` from the columns."""
-        return TraceRecord(
-            kind=_CODE_TO_KIND[self.kind_codes[index]],
-            address=self.addresses[index],
-            gap=self.gaps[index],
-            persistent=bool(self.persistent_flags[index]),
-        )
-
-    @property
-    def records(self) -> _RecordsView:
-        return _RecordsView(self)
-
-    @records.setter
-    def records(self, value: Iterable[TraceRecord]) -> None:
-        """Repack the columns from an iterable of records."""
-        if isinstance(value, _RecordsView) and value._trace is self:
-            return
-        records = list(value)
-        self.kind_codes = array("B")
-        self.addresses = array("Q")
-        self.gaps = array("I")
-        self.persistent_flags = array("B")
-        self._stat_cache = {}
-        for record in records:
-            self.append(record)
-
     def __len__(self) -> int:
         return len(self.kind_codes)
 
@@ -347,7 +256,7 @@ class MemoryTrace:
     __hash__ = object.__hash__
 
     # ------------------------------------------------------------------
-    # statistics (cached; invalidated by append / records assignment)
+    # statistics (cached; invalidated by append)
     # ------------------------------------------------------------------
 
     @property
@@ -411,13 +320,20 @@ class MemoryTrace:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "MemoryTrace":
+        """Read the text format.
+
+        Raises:
+            TraceFormatError: On a malformed record line (wrong field
+                count, unknown kind, or a field that is not a number in
+                its column's range); the message names the line number.
+        """
         # The header names the trace; fall back to the file stem for
         # headerless files.
         trace = cls(name=Path(path).stem)
         value_to_code = _VALUE_TO_CODE
         append_op = trace.append_op
         with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
@@ -426,182 +342,59 @@ class MemoryTrace:
                     if header.startswith("trace "):
                         trace.name = header[len("trace "):].strip()
                     continue
-                kind_s, addr_s, gap_s, persistent_s = line.split()
-                append_op(
-                    value_to_code[kind_s],
-                    int(addr_s, 16),
-                    int(gap_s),
-                    1 if int(persistent_s) else 0,
-                )
+                try:
+                    kind_s, addr_s, gap_s, persistent_s = line.split()
+                    append_op(
+                        value_to_code[kind_s],
+                        int(addr_s, 16),
+                        int(gap_s),
+                        1 if int(persistent_s) else 0,
+                    )
+                except (KeyError, ValueError, OverflowError):
+                    raise TraceFormatError(
+                        f"text trace {path!s} line {lineno}: malformed record "
+                        f"{line!r} (expected 'K address gap persistent')"
+                    ) from None
         return trace
 
     # ------------------------------------------------------------------
-    # binary (de)serialization: header + raw little-endian column bytes
+    # binary (de)serialization: whole-trace PLPTRACE v2 shorthands
     # ------------------------------------------------------------------
 
-    def to_bytes(self, version: int = TRACE_FORMAT_VERSION, segment_ops: int = DEFAULT_SEGMENT_OPS) -> bytes:
-        """Serialize to the versioned binary trace format.
-
-        ``version=2`` emits the chunked layout (``segment_ops`` ops per
-        segment) via an in-memory :class:`TraceWriter`.
-        """
-        if version == TRACE_FORMAT_VERSION_V2:
-            import io
-
-            buf = io.BytesIO()
-            with TraceWriter(buf, name=self.name, segment_ops=segment_ops) as writer:
-                writer.extend_packed(*self._columns())
-            return buf.getvalue()
-        if version != TRACE_FORMAT_VERSION:
-            raise TraceFormatError(f"cannot serialize trace format version {version}")
-        name_bytes = self.name.encode("utf-8")
-        columns = self._columns()
-        if _BIG_ENDIAN:
-            columns = tuple(self._swapped(col) for col in columns)
-        header = _HEADER.pack(
-            TRACE_MAGIC, TRACE_FORMAT_VERSION, 0, len(name_bytes), len(self)
-        )
-        return b"".join((header, name_bytes, *(col.tobytes() for col in columns)))
+    def to_bytes(self, segment_ops: int = DEFAULT_SEGMENT_OPS) -> bytes:
+        """Serialize to the binary trace format (``segment_ops`` ops per
+        segment)."""
+        buf = io.BytesIO()
+        self.save_binary(buf, segment_ops)
+        return buf.getvalue()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "MemoryTrace":
-        """Parse the versioned binary trace format.
+        """Parse the binary trace format.
 
         Raises:
             TraceFormatError: On a bad magic, unsupported version, or a
-                payload whose size disagrees with the header counts.
+                payload whose size or index disagrees with the header.
         """
-        if len(blob) < _HEADER.size:
-            raise TraceFormatError(
-                f"binary trace too short: {len(blob)} bytes < {_HEADER.size}-byte header"
-            )
-        magic, version, _reserved, name_len, count = _HEADER.unpack_from(blob)
-        if magic != TRACE_MAGIC:
-            raise TraceFormatError(f"bad trace magic {magic!r} (expected {TRACE_MAGIC!r})")
-        if version == TRACE_FORMAT_VERSION_V2:
-            with TraceReader.from_bytes(blob) as reader:
-                return reader.read_all()
-        if version != TRACE_FORMAT_VERSION:
-            raise TraceFormatError(
-                f"unsupported trace format version {version} (expected "
-                f"{TRACE_FORMAT_VERSION} or {TRACE_FORMAT_VERSION_V2})"
-            )
-        trace = cls()
-        offset = _HEADER.size
-        if len(blob) < offset + name_len:
-            raise TraceFormatError(
-                f"binary trace truncated inside the name: header promises "
-                f"{name_len} name bytes, payload has {len(blob) - offset}"
-            )
-        try:
-            trace.name = blob[offset : offset + name_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"binary trace name is not UTF-8: {exc}") from None
-        offset += name_len
-        expected = offset + sum(col.itemsize for col in trace._columns()) * count
-        if len(blob) != expected:
-            raise TraceFormatError(
-                f"binary trace payload is {len(blob)} bytes; header implies {expected}"
-            )
-        try:
-            for col in trace._columns():
-                size = col.itemsize * count
-                col.frombytes(blob[offset : offset + size])
-                offset += size
-        except ValueError:
-            # Unreachable after the size check above (slices are exact
-            # item multiples), but array-level errors must never escape.
-            raise TraceFormatError(
-                f"binary trace columns corrupt: header promised {count} records"
-            ) from None
-        if _BIG_ENDIAN:
-            for col in trace._columns():
-                col.byteswap()
-        return trace
+        with TraceReader.from_bytes(blob) as reader:
+            return reader.read_all()
 
     def save_binary(
-        self,
-        path: Union[str, Path],
-        version: int = TRACE_FORMAT_VERSION,
-        segment_ops: int = DEFAULT_SEGMENT_OPS,
+        self, path: Union[str, Path, BinaryIO], segment_ops: int = DEFAULT_SEGMENT_OPS
     ) -> None:
-        """Write the binary trace format (columns via ``array.tofile``).
-
-        ``version=2`` writes the chunked layout through
-        :class:`TraceWriter` with ``segment_ops`` ops per segment.
-        """
-        if version == TRACE_FORMAT_VERSION_V2:
-            with TraceWriter(path, name=self.name, segment_ops=segment_ops) as writer:
-                writer.extend_packed(*self._columns())
-            return
-        if version != TRACE_FORMAT_VERSION:
-            raise TraceFormatError(f"cannot serialize trace format version {version}")
-        name_bytes = self.name.encode("utf-8")
-        columns = self._columns()
-        if _BIG_ENDIAN:
-            columns = tuple(self._swapped(col) for col in columns)
-        with open(path, "wb") as fh:
-            fh.write(
-                _HEADER.pack(
-                    TRACE_MAGIC, TRACE_FORMAT_VERSION, 0, len(name_bytes), len(self)
-                )
-            )
-            fh.write(name_bytes)
-            for col in columns:
-                col.tofile(fh)
+        """Write the binary trace format through :class:`TraceWriter`."""
+        with TraceWriter(path, name=self.name, segment_ops=segment_ops) as writer:
+            writer.extend_packed(*self._columns())
 
     @classmethod
     def load_binary(cls, path: Union[str, Path]) -> "MemoryTrace":
-        """Read the binary trace format (columns via ``array.fromfile``).
+        """Read a whole binary trace through :class:`TraceReader`.
 
         Raises:
-            TraceFormatError: On a corrupt or truncated file.
+            TraceFormatError: On a corrupt, truncated or foreign file.
         """
-        with open(path, "rb") as fh:
-            header = fh.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                raise TraceFormatError(
-                    f"binary trace {path!s} truncated inside the header"
-                )
-            magic, version, _reserved, name_len, count = _HEADER.unpack(header)
-            if magic != TRACE_MAGIC:
-                raise TraceFormatError(
-                    f"bad trace magic {magic!r} in {path!s} (expected {TRACE_MAGIC!r})"
-                )
-            if version == TRACE_FORMAT_VERSION_V2:
-                with TraceReader(path) as reader:
-                    return reader.read_all()
-            if version != TRACE_FORMAT_VERSION:
-                raise TraceFormatError(
-                    f"unsupported trace format version {version} in {path!s}"
-                )
-            trace = cls()
-            name_bytes = fh.read(name_len)
-            if len(name_bytes) < name_len:
-                raise TraceFormatError(f"binary trace {path!s} truncated inside the name")
-            try:
-                trace.name = name_bytes.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TraceFormatError(
-                    f"binary trace name in {path!s} is not UTF-8: {exc}"
-                ) from None
-            try:
-                for col in trace._columns():
-                    col.fromfile(fh, count)
-            except (EOFError, ValueError):
-                # EOFError for whole-item shortfalls; array raises
-                # ValueError when truncation lands mid-item.
-                raise TraceFormatError(
-                    f"binary trace {path!s} truncated: header promised {count} records"
-                ) from None
-            if fh.read(1):
-                raise TraceFormatError(
-                    f"binary trace {path!s} has trailing bytes past {count} records"
-                )
-        if _BIG_ENDIAN:
-            for col in trace._columns():
-                col.byteswap()
-        return trace
+        with TraceReader(path) as reader:
+            return reader.read_all()
 
     def _columns(self) -> Tuple[array, array, array, array]:
         return (self.kind_codes, self.addresses, self.gaps, self.persistent_flags)
@@ -610,7 +403,7 @@ class MemoryTrace:
         """Yield the packed columns as :class:`TraceChunk` slices.
 
         Gives an in-memory trace the same chunk-iterator shape a
-        :class:`TraceReader` produces for an on-disk v2 trace, so the
+        :class:`TraceReader` produces for an on-disk trace, so the
         streaming engine entry points accept either source.
         """
         if segment_ops < 1:
@@ -625,13 +418,6 @@ class MemoryTrace:
                 self.gaps[start:stop],
                 self.persistent_flags[start:stop],
             )
-
-    @staticmethod
-    def _swapped(col: array) -> array:
-        copy = array(col.typecode, col)
-        copy.byteswap()
-        return copy
-
 
 class TraceChunk:
     """A contiguous run of packed trace columns starting at op ``start``.
@@ -666,7 +452,7 @@ class TraceChunk:
 
 
 class TraceSegment:
-    """One v2 index entry: where a segment lives and what it holds."""
+    """One index entry: where a segment lives and what it holds."""
 
     __slots__ = ("offset", "count", "loads", "stores", "persistent_stores", "sfences", "gap_sum")
 
@@ -698,11 +484,10 @@ class TraceSegment:
 
 
 class TraceSummary:
-    """Whole-trace statistics assembled from the v2 segment index.
+    """Whole-trace statistics assembled from the segment index.
 
-    For a v2 trace this costs only the header + index read (O(1) in the
-    trace length); for v1 the reader streams the columns once in bounded
-    memory.  ``touched_blocks`` is deliberately absent — it requires the
+    This costs only the header + index read (O(1) in the trace
+    length).  ``touched_blocks`` is deliberately absent — it requires the
     address column.
     """
 
@@ -763,7 +548,7 @@ class TraceSummary:
 
 
 class TraceWriter:
-    """Streaming v2 trace writer: append ops, segments flush to disk.
+    """Streaming binary trace writer: append ops, segments flush to disk.
 
     Buffers at most one segment's columns in memory; ``close`` writes
     the trailing segment index and backpatches the header with the true
@@ -773,7 +558,7 @@ class TraceWriter:
 
     def __init__(
         self,
-        path: Union[str, Path, object],
+        path: Union[str, Path, BinaryIO],
         name: str = "trace",
         segment_ops: int = DEFAULT_SEGMENT_OPS,
     ) -> None:
@@ -795,8 +580,8 @@ class TraceWriter:
         # Placeholder header; count / num_segments / index_offset are
         # backpatched on close.
         self._fh.write(
-            _HEADER_V2.pack(
-                TRACE_MAGIC, TRACE_FORMAT_VERSION_V2, 0, len(self._name_bytes), 0, segment_ops, 0, 0
+            _HEADER.pack(
+                TRACE_MAGIC, TRACE_FORMAT_VERSION, 0, len(self._name_bytes), 0, segment_ops, 0, 0
             )
         )
         self._fh.write(self._name_bytes)
@@ -857,21 +642,15 @@ class TraceWriter:
         kinds = self._kinds
         if not kinds:
             return
-        flags = self._flags
-        loads = kinds.count(KIND_LOAD)
-        stores = kinds.count(KIND_STORE)
-        sfences = kinds.count(KIND_SFENCE)
-        store_code = KIND_STORE
-        persistent_stores = sum(
-            1 for k, f in zip(kinds, flags) if k == store_code and f
+        loads, stores, persistent_stores, sfences, gap_sum = _segment_stats(
+            kinds, self._gaps, self._flags
         )
-        gap_sum = sum(self._gaps)
         offset = self._fh.tell()
-        columns: Tuple[array, ...] = (kinds, self._addrs, self._gaps, flags)
+        columns: Tuple[array, ...] = (kinds, self._addrs, self._gaps, self._flags)
         if _BIG_ENDIAN:
-            columns = tuple(MemoryTrace._swapped(col) for col in columns)
+            columns = tuple(_swapped(col) for col in columns)
         for col in columns:
-            self._fh.write(col.tobytes())
+            self._fh.write(col)
         self._entries.append(
             (offset, len(kinds), loads, stores, persistent_stores, sfences, gap_sum)
         )
@@ -888,9 +667,9 @@ class TraceWriter:
             self._fh.write(pack(*entry))
         self._fh.seek(0)
         self._fh.write(
-            _HEADER_V2.pack(
+            _HEADER.pack(
                 TRACE_MAGIC,
-                TRACE_FORMAT_VERSION_V2,
+                TRACE_FORMAT_VERSION,
                 0,
                 len(self._name_bytes),
                 self._count,
@@ -912,13 +691,12 @@ class TraceWriter:
 
 
 class TraceReader:
-    """Bounded-memory reader over the binary trace formats.
+    """Bounded-memory reader over the binary trace format.
 
-    Parses the header (and, for v2, the segment index) eagerly with the
-    full hardening of :meth:`MemoryTrace.from_bytes`; the column data is
-    only touched by :meth:`chunks`, one segment at a time.  v1 traces
-    are chunked too (via per-column seeks), so every consumer can treat
-    both versions uniformly.
+    Parses the header and the segment index eagerly, with full
+    validation of sizes and offsets; the column data is only touched by
+    :meth:`chunks`, one segment at a time.  Any other format version
+    (version 1 included) raises :class:`TraceFormatError`.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -933,8 +711,6 @@ class TraceReader:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TraceReader":
         """A reader over an in-memory serialized trace (tests, caches)."""
-        import io
-
         reader = cls.__new__(cls)
         reader._label = "<bytes>"
         reader._fh = io.BytesIO(blob)
@@ -963,31 +739,30 @@ class TraceReader:
         fh.seek(0, 2)
         self._size = fh.tell()
         fh.seek(0)
-        if self._size < _HEADER.size:
+        head = fh.read(_HEADER.size)
+        if len(head) >= _PREAMBLE.size:
+            magic, version = _PREAMBLE.unpack_from(head)
+            if magic != TRACE_MAGIC:
+                self._fail(f"bad magic {magic!r} (expected {TRACE_MAGIC!r})")
+            if version != TRACE_FORMAT_VERSION:
+                self._fail(
+                    f"unsupported trace format version {version} "
+                    f"(only version {TRACE_FORMAT_VERSION} is read)"
+                )
+        if len(head) < _HEADER.size:
             self._fail(f"too short: {self._size} bytes < {_HEADER.size}-byte header")
-        magic, version, _reserved, name_len, count = _HEADER.unpack(
-            self._read_exact(_HEADER.size, "the header")
-        )
-        if magic != TRACE_MAGIC:
-            self._fail(f"bad magic {magic!r} (expected {TRACE_MAGIC!r})")
-        if version not in (TRACE_FORMAT_VERSION, TRACE_FORMAT_VERSION_V2):
-            self._fail(f"unsupported trace format version {version}")
-        self.version = version
-        self.record_count = count
-        if version == TRACE_FORMAT_VERSION_V2:
-            tail = struct.Struct("<IIQ")
-            segment_ops, num_segments, index_offset = tail.unpack(
-                self._read_exact(tail.size, "the v2 header")
-            )
-            if segment_ops < 1:
-                self._fail(f"segment size {segment_ops} is not positive")
-            self.segment_ops = segment_ops
-            self._num_segments = num_segments
-            self._index_offset = index_offset
-        else:
-            self.segment_ops = DEFAULT_SEGMENT_OPS
-            self._num_segments = 0
-            self._index_offset = 0
+        (
+            _magic,
+            self.version,
+            _reserved,
+            name_len,
+            self.record_count,
+            self.segment_ops,
+            num_segments,
+            index_offset,
+        ) = _HEADER.unpack(head)
+        if self.segment_ops < 1:
+            self._fail(f"segment size {self.segment_ops} is not positive")
         name_bytes = fh.read(name_len)
         if len(name_bytes) < name_len:
             self._fail(
@@ -1001,20 +776,10 @@ class TraceReader:
                 f"binary trace {self._label}: name is not UTF-8: {exc}"
             ) from None
         self._data_start = fh.tell()
-        if version == TRACE_FORMAT_VERSION_V2:
-            self._parse_index()
-            self.segments: Optional[List[TraceSegment]] = self._segments
-        else:
-            expected = self._data_start + _ROW_BYTES * count
-            if self._size != expected:
-                self._fail(f"payload is {self._size} bytes; header implies {expected}")
-            self._segments = None
-            self.segments = None
+        self.segments = self._parse_index(num_segments, index_offset)
 
-    def _parse_index(self) -> None:
+    def _parse_index(self, num_segments: int, index_offset: int) -> List[TraceSegment]:
         entry = _SEGMENT_ENTRY
-        index_offset = self._index_offset
-        num_segments = self._num_segments
         expected = index_offset + num_segments * entry.size
         if index_offset < self._data_start:
             self._fail(
@@ -1022,8 +787,9 @@ class TraceReader:
                 f"header/name (data starts at {self._data_start})"
             )
         if self._size != expected:
+            damage = "truncated" if self._size < expected else "trailing bytes"
             self._fail(
-                f"corrupt index: payload is {self._size} bytes; header "
+                f"corrupt index ({damage}): payload is {self._size} bytes; header "
                 f"implies {expected} ({num_segments} segments indexed at {index_offset})"
             )
         self._fh.seek(index_offset)
@@ -1055,17 +821,17 @@ class TraceReader:
             cursor = seg.offset + seg.count * _ROW_BYTES
             total += seg.count
             segments.append(seg)
-        if cursor != self._index_offset:
+        if cursor != index_offset:
             self._fail(
                 f"mid-column cut: segment data ends at byte {cursor} but the "
-                f"index starts at {self._index_offset}"
+                f"index starts at {index_offset}"
             )
         if total != self.record_count:
             self._fail(
                 f"corrupt index: segments hold {total} ops, header promises "
                 f"{self.record_count}"
             )
-        self._segments = segments
+        return segments
 
     # ------------------------------------------------------------------
     # reading
@@ -1075,46 +841,19 @@ class TraceReader:
         return self.record_count
 
     def summary(self) -> TraceSummary:
-        """Whole-trace statistics.
-
-        O(header + index) for v2; a bounded-memory single pass for v1.
-        """
-        if self.version == TRACE_FORMAT_VERSION_V2:
-            segs = self._segments or []
-            return TraceSummary(
-                self.name,
-                self.version,
-                self.record_count,
-                self.segment_ops,
-                len(segs),
-                sum(s.loads for s in segs),
-                sum(s.stores for s in segs),
-                sum(s.persistent_stores for s in segs),
-                sum(s.sfences for s in segs),
-                sum(s.gap_sum for s in segs),
-            )
-        loads = stores = persistent_stores = sfences = gap_sum = 0
-        store_code = KIND_STORE
-        for chunk in self.chunks():
-            kinds = chunk.kind_codes
-            loads += kinds.count(KIND_LOAD)
-            stores += kinds.count(store_code)
-            sfences += kinds.count(KIND_SFENCE)
-            persistent_stores += sum(
-                1 for k, f in zip(kinds, chunk.persistent_flags) if k == store_code and f
-            )
-            gap_sum += sum(chunk.gaps)
+        """Whole-trace statistics from the header and index alone."""
+        segs = self.segments
         return TraceSummary(
             self.name,
             self.version,
             self.record_count,
             self.segment_ops,
-            0,
-            loads,
-            stores,
-            persistent_stores,
-            sfences,
-            gap_sum,
+            len(segs),
+            sum(s.loads for s in segs),
+            sum(s.stores for s in segs),
+            sum(s.persistent_stores for s in segs),
+            sum(s.sfences for s in segs),
+            sum(s.gap_sum for s in segs),
         )
 
     def chunks(self, start: int = 0, stop: Optional[int] = None) -> Iterator[TraceChunk]:
@@ -1131,10 +870,21 @@ class TraceReader:
             )
         if start == stop:
             return
-        if self.version == TRACE_FORMAT_VERSION_V2:
-            yield from self._chunks_v2(start, stop)
-        else:
-            yield from self._chunks_v1(start, stop)
+        base = 0
+        for seg in self.segments:
+            seg_start, seg_stop = base, base + seg.count
+            base = seg_stop
+            if seg_stop <= start:
+                continue
+            if seg_start >= stop:
+                break
+            # Each column's offset within the segment payload, shifted
+            # to the requested sub-range; only hi - lo items are read.
+            lo = max(start, seg_start) - seg_start
+            hi = min(stop, seg_stop) - seg_start
+            off, n = seg.offset, seg.count
+            offsets = (off + lo, off + n + lo * 8, off + n * 9 + lo * 4, off + n * 13 + lo)
+            yield TraceChunk(seg_start + lo, *self._read_columns(offsets, hi - lo))
 
     def _read_columns(
         self, offsets: Tuple[int, int, int, int], count: int
@@ -1149,60 +899,8 @@ class TraceReader:
                 col.byteswap()
         return columns
 
-    def _chunks_v2(self, start: int, stop: int) -> Iterator[TraceChunk]:
-        base = 0
-        for seg in self._segments or []:
-            seg_start, seg_stop = base, base + seg.count
-            base = seg_stop
-            if seg_stop <= start:
-                continue
-            if seg_start >= stop:
-                break
-            # Column offsets within the segment payload.
-            off = seg.offset
-            offsets = (
-                off,
-                off + seg.count,
-                off + seg.count * 9,
-                off + seg.count * 13,
-            )
-            lo = max(start, seg_start) - seg_start
-            hi = min(stop, seg_stop) - seg_start
-            if lo == 0 and hi == seg.count:
-                kinds, addrs, gaps, flags = self._read_columns(offsets, seg.count)
-            else:
-                # Partial overlap: shift each column offset to the
-                # requested sub-range, read only hi - lo items.
-                offsets = (
-                    offsets[0] + lo,
-                    offsets[1] + lo * 8,
-                    offsets[2] + lo * 4,
-                    offsets[3] + lo,
-                )
-                kinds, addrs, gaps, flags = self._read_columns(offsets, hi - lo)
-            yield TraceChunk(seg_start + lo, kinds, addrs, gaps, flags)
-
-    def _chunks_v1(self, start: int, stop: int) -> Iterator[TraceChunk]:
-        count = self.record_count
-        kind_base = self._data_start
-        addr_base = kind_base + count
-        gap_base = addr_base + count * 8
-        flag_base = gap_base + count * 4
-        step = self.segment_ops
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            n = hi - lo
-            offsets = (
-                kind_base + lo,
-                addr_base + lo * 8,
-                gap_base + lo * 4,
-                flag_base + lo,
-            )
-            kinds, addrs, gaps, flags = self._read_columns(offsets, n)
-            yield TraceChunk(lo, kinds, addrs, gaps, flags)
-
     def read_all(self) -> MemoryTrace:
-        """Materialize the whole trace (the ``load_binary`` v2 path)."""
+        """Materialize the whole trace (the ``load_binary`` path)."""
         trace = MemoryTrace(name=self.name)
         for chunk in self.chunks():
             trace.kind_codes.extend(chunk.kind_codes)

@@ -10,9 +10,8 @@ skip-ahead rewrite must preserve:
   it is released, on the telemetry streams of either engine family;
 * **chunk resumption** — ``run_stream`` over a v2 trace of any segment
   size equals the materialized ``run``;
-* **monotone clock** — the discrete-event queue never runs time
-  backwards, and a :class:`CompletionHeap` releases completions in
-  non-decreasing order.
+* **monotone clock** — a :class:`CompletionHeap` releases completions
+  in non-decreasing order.
 
 ``hypothesis`` is an optional test dependency: without it this module
 skips cleanly (``pip install plp-repro[dev]`` brings it in).
@@ -28,7 +27,7 @@ from repro.core.schedulers import OccupancyRing, make_scoreboard
 from repro.core.schemes import UpdateScheme
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.wpq import gather_before_release_violations
-from repro.sim.engine import CompletionHeap, Engine
+from repro.sim.engine import CompletionHeap
 from repro.system.config import SystemConfig
 from repro.system.timing import TraceSimulator
 from repro.telemetry.config import TelemetryConfig
@@ -180,7 +179,7 @@ def test_run_stream_matches_run_at_any_segment_size(segment_ops, scheme, engine,
     key = (scheme, engine, warmup)
     if key not in _STREAM_REFS:
         _STREAM_REFS[key] = TraceSimulator(config).run(_STREAM_TRACE, warmup)
-    blob = _STREAM_TRACE.to_bytes(version=2, segment_ops=segment_ops)
+    blob = _STREAM_TRACE.to_bytes(segment_ops=segment_ops)
     with TraceReader.from_bytes(blob) as reader:
         assert TraceSimulator(config).run_stream(reader, warmup) == _STREAM_REFS[key]
 
@@ -216,37 +215,6 @@ def test_wpq_gather_before_release(scheme, engine, ops, data):
 # ----------------------------------------------------------------------
 # monotone clocks
 # ----------------------------------------------------------------------
-
-
-@given(delays=st.lists(st.integers(0, 1000), min_size=1, max_size=50))
-@settings(max_examples=50, deadline=None)
-def test_event_queue_clock_is_monotone(delays):
-    engine = Engine()
-    fired = []
-    for delay in delays:
-        engine.schedule(delay, lambda: fired.append(engine.now))
-    engine.run()
-    assert fired == sorted(fired)
-    assert engine.now == max(delays)
-
-
-@given(
-    delays=st.lists(st.tuples(st.integers(0, 100), st.integers(0, 100)), min_size=1, max_size=30)
-)
-@settings(max_examples=50, deadline=None)
-def test_nested_scheduling_keeps_clock_monotone(delays):
-    """Callbacks that schedule further events never move time backwards."""
-    engine = Engine()
-    fired = []
-
-    def chain(extra):
-        fired.append(engine.now)
-        engine.schedule(extra, lambda: fired.append(engine.now))
-
-    for first, extra in delays:
-        engine.schedule(first, lambda extra=extra: chain(extra))
-    engine.run()
-    assert fired == sorted(fired)
 
 
 @given(times=st.lists(st.integers(0, 10**9), min_size=1, max_size=100), data=st.data())

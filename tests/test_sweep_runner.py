@@ -95,8 +95,8 @@ def _worker_pid(spec):
     """Module-level (picklable) probe: which process ran this spec.
 
     The short sleep keeps one live worker from draining a whole sweep
-    before the other picks up a task, so a reused pool shows up as
-    shared pids rather than depending on scheduling luck."""
+    before the others pick up a task, so a sweep exercises several of
+    the pool's workers."""
     time.sleep(0.02)
     return os.getpid()
 
@@ -112,16 +112,19 @@ def _die_once(spec: str):
 
 
 def test_persistent_pool_reused_across_sweeps():
+    runner_mod.shutdown_pool()  # order-independence: start from no pool
     specs = list(range(4))
     keys = [f"pid-{i}" for i in specs]
     first, _ = run_tasks(specs, keys, _worker_pid, workers=2)
     spawns = runner_mod.pool_spawns
+    pool_pids = set(runner_mod._pool._processes)
     second, _ = run_tasks(specs, keys, _worker_pid, workers=2)
     # No new executor was created, and the very same worker processes
     # (not just the same count) served both sweeps.
     assert runner_mod.pool_spawns == spawns
-    assert set(first) & set(second)
-    assert os.getpid() not in set(first) | set(second)
+    assert set(first) <= pool_pids
+    assert set(second) <= pool_pids
+    assert os.getpid() not in pool_pids
 
 
 def test_pool_grows_by_recreation_and_shrinks_by_reuse():

@@ -29,7 +29,7 @@ def test_generate_trace_is_deterministic():
     spec = SyntheticSpec(kilo_instructions=5, seed=99)
     a = generate_trace(spec)
     b = generate_trace(spec)
-    assert a.records == b.records
+    assert list(a) == list(b)
 
 
 def test_generate_trace_store_rate():
@@ -168,7 +168,7 @@ def test_lca_pingpong_alternates_across_the_separation():
     trace = lca_pingpong(
         400, separation_blocks=separation, pairs=3, sfence_every=0
     )
-    blocks = [r.block for r in trace.records]
+    blocks = [r.block for r in trace]
     # Consecutive stores always sit on opposite sides of the separation
     # span, so their BMT lowest common ancestor is maximally shallow.
     for even, odd in zip(blocks[0::2], blocks[1::2]):
@@ -207,7 +207,7 @@ def test_multi_tenant_regions_are_disjoint():
     from repro.workloads.synthetic import BLOCK, HEAP_BASE
 
     tenants = set()
-    for record in trace.records:
+    for record in trace:
         tenants.add((record.address - HEAP_BASE) // (stride * BLOCK))
     assert tenants == {0, 1, 2, 3}
     assert len(trace) == 4 * 1500
@@ -225,7 +225,7 @@ def test_multi_tenant_adding_a_tenant_preserves_existing_streams():
         trace = multi_tenant(
             clients=clients, ops_per_client=800, tenant_stride_blocks=stride, seed=5
         )
-        for record in trace.records:
+        for record in trace:
             tenant = (record.address - HEAP_BASE) // (stride * BLOCK)
             per_tenant.setdefault(tenant, []).append(record.address)
         return per_tenant

@@ -78,14 +78,39 @@ def test_config_rejects_non_scheme_value(value):
         "ett_entries",
         "bmt_arity",
         "triad_persist_levels",
+        "clock_ghz",
+        "core_ipc",
+        "load_mlp",
+        "memory_bytes",
+        "bmt_min_levels",
+        "l1_assoc",
+        "metadata_assoc",
+        "l1_bytes",
+        "l2_bytes",
+        "counter_cache_bytes",
+        "bmt_cache_bytes",
     ],
 )
 @pytest.mark.parametrize("value", [0, -1])
 def test_config_rejects_degenerate_capacities(field, value):
     """Regression: epoch_size=0 used to slip through and fail only deep
     inside the simulator's EpochTracker; wpq_entries=0 could never
-    admit a persist.  The constructor must reject them."""
+    admit a persist; core_ipc/load_mlp/l1_assoc=0 divided by zero,
+    core_ipc=-1 simulated silently, clock_ghz=0 divided by zero in the
+    recovery table, and zero-size memory or metadata caches failed only
+    inside TraceSimulator.  The constructor must reject them."""
     with pytest.raises(ValueError, match=f"{field} must be positive"):
+        SystemConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("l2_bytes", 1000), ("l1_bytes", 256), ("mac_cache_bytes", 64)],
+)
+def test_config_rejects_cache_smaller_than_one_set(field, value):
+    """Regression: l2_bytes=1000 ran on the batched engine but raised
+    on skip_ahead; every engine now sees the same rejection."""
+    with pytest.raises(ValueError, match=f"{field}={value} is smaller than one set"):
         SystemConfig(**{field: value})
 
 

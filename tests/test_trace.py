@@ -73,8 +73,14 @@ def test_save_load_roundtrip(tmp_path):
     path = tmp_path / "demo.trace"
     trace.save(path)
     loaded = MemoryTrace.load(path)
-    assert loaded.records == trace.records
+    assert loaded == trace
     assert loaded.name == "demo"
+    # A malformed record line raises TraceFormatError naming its line:
+    # unknown kind, missing field, negative and non-hex address.
+    for bad in ("X 40 1 1", "S 40 1", "S -40 1 1", "S zz 1 1"):
+        path.write_text(f"# trace demo\nS 1000 7 1\n{bad}\n", encoding="ascii")
+        with pytest.raises(TraceFormatError, match="line 3"):
+            MemoryTrace.load(path)
 
 
 def test_empty_trace():
@@ -105,25 +111,7 @@ def test_columns_parallel_and_packed():
     assert list(trace.persistent_flags) == [int(r.persistent) for r in SAMPLE]
     assert trace.kind_codes.itemsize == 1
     assert trace.addresses.itemsize == 8
-
-
-def test_records_view_indexing_and_equality():
-    trace = MemoryTrace(SAMPLE)
-    assert trace.records[0] == SAMPLE[0]
-    assert trace.records[-1] == SAMPLE[-1]
-    assert trace.records[1:3] == SAMPLE[1:3]
-    assert trace.records == list(SAMPLE)
     assert list(trace) == SAMPLE
-    with pytest.raises(IndexError):
-        trace.records[len(SAMPLE)]
-
-
-def test_records_assignment_repacks_columns():
-    trace = MemoryTrace(SAMPLE)
-    trace.records = [r for r in trace.records if r.kind is not OpKind.SFENCE]
-    assert len(trace) == 3
-    assert KIND_SFENCE not in set(trace.kind_codes)
-    assert trace.records[1] == SAMPLE[1]
 
 
 def test_append_op_matches_append():
@@ -131,7 +119,7 @@ def test_append_op_matches_append():
     via_ops = MemoryTrace()
     for r in SAMPLE:
         via_ops.append_op(r.kind.code, r.address, r.gap, int(r.persistent))
-    assert via_ops.records == via_records.records
+    assert via_ops == via_records
 
 
 def test_trace_record_is_immutable():
@@ -155,14 +143,6 @@ def test_statistics_cache_invalidated_on_append():
     assert trace.count(OpKind.STORE) == 2
     assert trace.count(OpKind.STORE, persistent_only=True) == 1
     assert trace.touched_blocks() == 2
-
-
-def test_statistics_cache_invalidated_on_records_assignment():
-    trace = MemoryTrace(SAMPLE)
-    assert trace.count(OpKind.SFENCE) == 1
-    trace.records = []
-    assert trace.count(OpKind.SFENCE) == 0
-    assert trace.instruction_count == 0
 
 
 def test_repeated_statistics_are_cached():
@@ -192,7 +172,7 @@ def test_load_without_header_falls_back_to_stem(tmp_path):
     path.write_text("S 1000 7 1\n", encoding="ascii")
     loaded = MemoryTrace.load(path)
     assert loaded.name == "stem-name"
-    assert loaded.records == [TraceRecord(OpKind.STORE, 0x1000, gap=7)]
+    assert list(loaded) == [TraceRecord(OpKind.STORE, 0x1000, gap=7)]
 
 
 # ----------------------------------------------------------------------
@@ -201,8 +181,7 @@ def test_load_without_header_falls_back_to_stem(tmp_path):
 
 
 def _assert_traces_identical(a: MemoryTrace, b: MemoryTrace) -> None:
-    assert a.name == b.name
-    assert a.records == b.records
+    assert a == b
     for mine, theirs in zip(a, b):
         assert mine.kind is theirs.kind
         assert mine.address == theirs.address
@@ -274,25 +253,27 @@ def test_from_bytes_truncated_inside_name_raises():
     trace = MemoryTrace(SAMPLE, name="a-rather-long-trace-name")
     blob = trace.to_bytes()
     with pytest.raises(TraceFormatError, match="name"):
-        MemoryTrace.from_bytes(blob[:30])  # header (24 B) + partial name
+        MemoryTrace.from_bytes(blob[:45])  # header (40 B) + partial name
 
 
 def test_from_bytes_non_utf8_name_raises():
     trace = MemoryTrace(SAMPLE, name="ascii")
     blob = bytearray(trace.to_bytes())
-    blob[24:29] = b"\xff\xfe\xff\xfe\xff"  # clobber the 5-byte name
+    blob[40:45] = b"\xff\xfe\xff\xfe\xff"  # clobber the 5-byte name
     with pytest.raises(TraceFormatError, match="UTF-8"):
         MemoryTrace.from_bytes(bytes(blob))
 
 
 def test_from_bytes_cut_mid_column_raises():
-    """Truncation landing mid-item in a column is a format error."""
+    """Truncation landing mid-item (in a column or in the segment
+    index) is a format error."""
     trace = MemoryTrace(SAMPLE, name="midcol")
     blob = trace.to_bytes()
     with pytest.raises(TraceFormatError, match="header implies"):
-        MemoryTrace.from_bytes(blob[:-3])  # not an item multiple
+        MemoryTrace.from_bytes(blob[:-3])  # inside the index entry
+    # Inside the flag column, just before the one-entry (36 B) index.
     with pytest.raises(TraceFormatError, match="header implies"):
-        MemoryTrace.from_bytes(blob[: len(blob) - len(SAMPLE) * 8 // 2])
+        MemoryTrace.from_bytes(blob[: len(blob) - 36 - 3])
 
 
 def test_from_bytes_oversized_payload_raises():
@@ -304,7 +285,7 @@ def test_from_bytes_oversized_payload_raises():
 def test_load_binary_non_utf8_name_raises(tmp_path):
     trace = MemoryTrace(SAMPLE, name="ascii")
     blob = bytearray(trace.to_bytes())
-    blob[24:29] = b"\xff\xfe\xff\xfe\xff"
+    blob[40:45] = b"\xff\xfe\xff\xfe\xff"
     path = tmp_path / "garbled.bin"
     path.write_bytes(bytes(blob))
     with pytest.raises(TraceFormatError, match="UTF-8"):

@@ -37,7 +37,7 @@ def test_cold_miss_generates_and_stores(tmp_path):
     assert cache.misses == 1 and cache.hits == 0
     path = cache.path_for(trace_key("gamess", KI, 2020))
     assert path.is_file()
-    assert trace.records == profile_trace("gamess", KI, 2020).records
+    assert list(trace) == list(profile_trace("gamess", KI, 2020))
 
 
 def test_warm_hit_loads_identical_packed_trace(tmp_path):
@@ -46,7 +46,7 @@ def test_warm_hit_loads_identical_packed_trace(tmp_path):
     loaded = cache.load_or_generate("milc", KI)
     assert cache.hits == 1
     assert loaded.name == generated.name == "milc"
-    assert loaded.records == generated.records
+    assert list(loaded) == list(generated)
     assert loaded.kind_codes == generated.kind_codes
     assert loaded.addresses == generated.addresses
     assert loaded.gaps == generated.gaps
@@ -69,7 +69,7 @@ def test_corrupt_cache_entry_treated_as_miss(tmp_path):
     path = cache.path_for(trace_key("gamess", KI, 2020))
     path.write_bytes(b"garbage")
     recovered = cache.load_or_generate("gamess", KI)
-    assert recovered.records == profile_trace("gamess", KI, 2020).records
+    assert list(recovered) == list(profile_trace("gamess", KI, 2020))
     # The rebuilt entry replaced the corrupt one.
     assert TraceCache(tmp_path).get("gamess", KI, 2020) is not None
 
@@ -97,5 +97,5 @@ def test_runner_memory_lru_fronts_disk_cache(tmp_path, monkeypatch):
     _trace_cache.clear()
     reloaded = cached_profile_trace("gcc", KI)  # disk hit, fresh object
     assert reloaded is not first
-    assert reloaded.records == first.records
+    assert list(reloaded) == list(first)
     _trace_cache.clear()

@@ -1,9 +1,10 @@
 """Chunked v2 trace format: writer/reader, hardening, streamed runs.
 
 Covers the PLPTRACE v2 layer end to end: ``TraceWriter`` emission vs
-``save_binary``, v1<->v2 round-trips, the O(1) ``TraceReader.summary``,
-chunk iteration parity with ``MemoryTrace.chunks``, the reader's
-``from_bytes``-grade hardening against truncated/corrupt files, and the
+``save_binary``, ``read_all`` round-trips, the O(1)
+``TraceReader.summary``, chunk iteration parity with
+``MemoryTrace.chunks``, the reader's hardening against truncated,
+corrupt and version-1 files, and the
 bounded-memory ``run_stream`` differential against the materialized
 ``run`` on every scheme and all three engines.
 """
@@ -18,9 +19,11 @@ from repro.system.config import SystemConfig
 from repro.system.timing import TraceSimulator
 from repro.workloads.synthetic import kvstore_trace
 from repro.workloads.trace import (
+    DEFAULT_SEGMENT_OPS,
     KIND_LOAD,
     KIND_SFENCE,
     KIND_STORE,
+    TRACE_MAGIC,
     MemoryTrace,
     TraceFormatError,
     TraceReader,
@@ -50,7 +53,7 @@ def trace():
 def test_writer_matches_save_binary(trace, tmp_path):
     via_save = tmp_path / "save.plptrace"
     via_writer = tmp_path / "writer.plptrace"
-    trace.save_binary(via_save, version=2, segment_ops=64)
+    trace.save_binary(via_save, segment_ops=64)
     with TraceWriter(via_writer, name=trace.name, segment_ops=64) as writer:
         for code, address, gap, flag in zip(
             trace.kind_codes, trace.addresses, trace.gaps, trace.persistent_flags
@@ -74,26 +77,14 @@ def test_writer_extend_packed_matches_append_op(trace, tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
-def test_v1_v2_roundtrip(trace, tmp_path):
-    v1 = tmp_path / "v1.plptrace"
-    v2 = tmp_path / "v2.plptrace"
-    trace.save_binary(v1, version=1)
-    loaded_v1 = MemoryTrace.load_binary(v1)
-    loaded_v1.save_binary(v2, version=2, segment_ops=37)
-    loaded_v2 = MemoryTrace.load_binary(v2)
-    assert loaded_v2 == trace
-    assert loaded_v2.name == trace.name
-    loaded_v2.save_binary(v1, version=1)
-    assert MemoryTrace.load_binary(v1) == trace
-
-
-def test_reader_read_all_both_versions(trace, tmp_path):
-    for version, segment_ops in ((1, None), (2, 53)):
-        path = tmp_path / f"v{version}.plptrace"
-        kwargs = {} if segment_ops is None else {"segment_ops": segment_ops}
-        trace.save_binary(path, version=version, **kwargs)
-        with TraceReader(path) as reader:
-            assert reader.read_all() == trace
+@pytest.mark.parametrize("segment_ops", [1, 37, DEFAULT_SEGMENT_OPS])
+def test_reader_read_all_roundtrips(trace, tmp_path, segment_ops):
+    path = tmp_path / "t.plptrace"
+    trace.save_binary(path, segment_ops=segment_ops)
+    with TraceReader(path) as reader:
+        assert reader.read_all() == trace
+    assert MemoryTrace.load_binary(path) == trace
+    assert MemoryTrace.from_bytes(trace.to_bytes(segment_ops)) == trace
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +96,7 @@ def test_summary_matches_trace_statistics(trace, tmp_path):
     from repro.workloads.trace import OpKind
 
     path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=2, segment_ops=61)
+    trace.save_binary(path, segment_ops=61)
     with TraceReader(path) as reader:
         summary = reader.summary()
     assert summary.name == trace.name
@@ -124,7 +115,7 @@ def test_summary_matches_trace_statistics(trace, tmp_path):
 def test_summary_reads_no_column_data(trace, tmp_path):
     """The v2 summary must come from the header + index alone."""
     path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=2, segment_ops=61)
+    trace.save_binary(path, segment_ops=61)
     with TraceReader(path) as reader:
         golden = reader.summary()
         first = reader.segments[0]
@@ -137,16 +128,6 @@ def test_summary_reads_no_column_data(trace, tmp_path):
         summary = reader.summary()
     assert summary.record_count == golden.record_count
     assert summary.stores == golden.stores
-
-
-def test_summary_v1_streams_columns(trace, tmp_path):
-    path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=1)
-    with TraceReader(path) as reader:
-        summary = reader.summary()
-    assert summary.version == 1
-    assert summary.record_count == len(trace)
-    assert summary.instruction_count == trace.instruction_count
 
 
 # ----------------------------------------------------------------------
@@ -169,11 +150,10 @@ def _concat_chunks(chunks):
     return starts, kinds, addrs, gaps, flags
 
 
-@pytest.mark.parametrize("version,segment_ops", [(1, 41), (2, 41)])
-def test_reader_chunks_match_memory_chunks(trace, tmp_path, version, segment_ops):
+@pytest.mark.parametrize("segment_ops", [41, DEFAULT_SEGMENT_OPS])
+def test_reader_chunks_match_memory_chunks(trace, tmp_path, segment_ops):
     path = tmp_path / "t.plptrace"
-    kwargs = {"segment_ops": segment_ops} if version == 2 else {}
-    trace.save_binary(path, version=version, **kwargs)
+    trace.save_binary(path, segment_ops=segment_ops)
     with TraceReader(path) as reader:
         file_chunks = _concat_chunks(reader.chunks())
     mem_chunks = _concat_chunks(trace.chunks(segment_ops=reader.segment_ops))
@@ -186,7 +166,7 @@ def test_reader_chunks_match_memory_chunks(trace, tmp_path, version, segment_ops
 
 def test_reader_chunks_subrange(trace, tmp_path):
     path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=2, segment_ops=29)
+    trace.save_binary(path, segment_ops=29)
     lo, hi = 33, len(trace) - 17
     with TraceReader(path) as reader:
         _starts, _kinds, addrs, _gaps, _flags = _concat_chunks(
@@ -201,7 +181,7 @@ def test_reader_chunks_subrange(trace, tmp_path):
 
 
 def _v2_bytes(trace, segment_ops=32) -> bytes:
-    return trace.to_bytes(version=2, segment_ops=segment_ops)
+    return trace.to_bytes(segment_ops=segment_ops)
 
 
 def test_reader_truncated_segment_raises(trace, tmp_path):
@@ -251,6 +231,31 @@ def test_reader_bad_magic_and_version(trace):
         TraceReader.from_bytes(bad_version)
 
 
+def test_reader_rejects_v1_header(trace, tmp_path):
+    """Version 1 (one unsegmented column-major payload) is no longer
+    read: a well-formed v1 file fails naming its version, on every
+    binary entry point, so the trace cache treats it as a miss."""
+    name = trace.name.encode()
+    v1 = (
+        struct.pack("<8sHHIQ", TRACE_MAGIC, 1, 0, len(name), len(trace))
+        + name
+        + b"".join(col.tobytes() for col in trace._columns())
+    )
+    path = tmp_path / "v1.plptrace"
+    path.write_bytes(v1)
+    for load in (
+        lambda: TraceReader(path),
+        lambda: TraceReader.from_bytes(v1),
+        lambda: MemoryTrace.load_binary(path),
+        lambda: MemoryTrace.from_bytes(v1),
+    ):
+        with pytest.raises(TraceFormatError, match="version 1"):
+            load()
+    # Too short for a v2 header, yet still named as version 1.
+    with pytest.raises(TraceFormatError, match="version 1"):
+        MemoryTrace.from_bytes(v1[:12])
+
+
 def test_reader_empty_segment_rejected(trace):
     blob = bytearray(_v2_bytes(trace))
     with TraceReader.from_bytes(bytes(blob)) as reader:
@@ -273,7 +278,7 @@ def _assert_stream_matches_run(trace, tmp_path, config, segment_ops):
     ref = TraceSimulator(config).run(trace, 0.2)
     assert TraceSimulator(config).run_stream(trace, 0.2) == ref
     path = tmp_path / "t.plptrace"
-    trace.save_binary(path, version=2, segment_ops=segment_ops)
+    trace.save_binary(path, segment_ops=segment_ops)
     with TraceReader(path) as reader:
         assert TraceSimulator(config).run_stream(reader, 0.2) == ref
 

@@ -89,4 +89,4 @@ def test_trace_roundtrip_preserves_everything(tmp_path):
     path = tmp_path / "t.trace"
     trace.save(path)
     loaded = MemoryTrace.load(path)
-    assert loaded.records == trace.records
+    assert list(loaded) == list(trace)
