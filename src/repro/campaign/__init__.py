@@ -18,7 +18,6 @@ from repro.campaign.grid import (
     SINGLETON_SUBSETS,
     WORKLOADS,
     Scenario,
-    SchemeSemantics,
     enumerate_grid,
     journal_plan,
     scenario_key,
@@ -79,7 +78,6 @@ __all__ = [
     "OUTCOME_SILENT_CORRUPTION",
     "SINGLETON_SUBSETS",
     "Scenario",
-    "SchemeSemantics",
     "WORKLOADS",
     "default_campaign_cache_root",
     "enumerate_grid",

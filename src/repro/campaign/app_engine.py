@@ -43,8 +43,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.app.kvstore import AppTrace, AppWorkload, lower, recover_app, replay_app
 from repro.app.workloads import resolve_workload
 from repro.campaign.engine import build_injector, drive_wpq
-from repro.campaign.grid import SchemeSemantics, build_memory, semantics_for
-from repro.core.schemes import UpdateScheme
+from repro.campaign.grid import CAMPAIGN_SCHEMES, build_memory, semantics_for
+from repro.core.schemes import SchemePolicy, UpdateScheme
 from repro.crypto.primitives import BLOCK_SIZE
 from repro.mem.wpq import TupleItem
 from repro.persistency.models import PersistencyModel
@@ -57,20 +57,16 @@ from repro.system.secure_memory import IntegrityError
 
 from repro.app.kvstore import IDIOMS
 
-APP_CAMPAIGN_SCHEMES: Tuple[str, ...] = (
-    "sp",
-    "pipeline",
-    "o3",
-    "coalescing",
-    "triad_nvm",
-    "phoenix",
-    "secpm_wt",
-    "anubis",
+APP_CAMPAIGN_SCHEMES: Tuple[str, ...] = tuple(
+    name
+    for name in CAMPAIGN_SCHEMES
+    if UpdateScheme(name).crash_recoverable or UpdateScheme(name).relaxes_root_order
 )
 """The eight persistent schemes the app campaign runs by default: the
-paper's four plus the cross-paper zoo.  ``secure_wb`` guarantees
-nothing durable (an app-level differential is meaningless) and the
-``unordered`` strawman is opt-in for demonstration runs."""
+campaign schemes that recover, i.e. the paper's four plus the
+cross-paper zoo.  ``secure_wb`` guarantees nothing durable (an
+app-level differential is meaningless) and the ``unordered`` strawman
+is opt-in for demonstration runs."""
 
 APP_CAMPAIGN_FORMAT = 1
 """Bump to invalidate cached app-campaign cells on semantic changes."""
@@ -140,7 +136,7 @@ class PersistInfo(NamedTuple):
     block: int
 
 
-def persist_map(sem: SchemeSemantics, trace: AppTrace) -> List[PersistInfo]:
+def persist_map(sem: SchemePolicy, trace: AppTrace) -> List[PersistInfo]:
     """Map persist journal indices to the app actions that caused them.
 
     Replays the persistency model's lowering logic without the crypto:

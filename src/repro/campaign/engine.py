@@ -37,13 +37,13 @@ from typing import Dict, List, Sequence, Set
 
 from repro.core.coalescing import CoalescingUnit
 from repro.core.invariants import check_tuple_complete
+from repro.core.schemes import SchemePolicy
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.wpq import TupleItem, WritePendingQueue
 from repro.recovery.checker import RecoveryChecker
 from repro.recovery.crash import CrashInjector
 from repro.campaign.grid import (
     Scenario,
-    SchemeSemantics,
     WORKLOADS,
     build_memory,
     replay,
@@ -97,7 +97,7 @@ class CampaignCell:
 
 
 def _delivery_plan(
-    sem: SchemeSemantics,
+    sem: SchemePolicy,
     journal: Sequence,
     victim: int,
     drops: Set[TupleItem],
@@ -190,7 +190,7 @@ class FlushOutcome:
 
 
 def drive_wpq(
-    sem: SchemeSemantics,
+    sem: SchemePolicy,
     journal: Sequence,
     victim: int,
     drops: Set[TupleItem],
@@ -237,7 +237,7 @@ def drive_wpq(
     return FlushOutcome(persisted, invalidated, problems, epochs_complete)
 
 
-def build_injector(sem: SchemeSemantics, outcome: FlushOutcome) -> CrashInjector:
+def build_injector(sem: SchemePolicy, outcome: FlushOutcome) -> CrashInjector:
     """Convert a flush outcome into the fault injection it implies."""
     injector = CrashInjector()
     for entry in outcome.persisted:

@@ -36,7 +36,6 @@ from repro.core.update_engine import (
 )
 from repro.core.schedulers import (
     SequentialScoreboard,
-    SGXPathScoreboard,
     PipelineScoreboard,
     OutOfOrderScoreboard,
     CoalescingScoreboard,
@@ -56,7 +55,6 @@ __all__ = [
     "EngineConfig",
     "PersistEvent",
     "SequentialScoreboard",
-    "SGXPathScoreboard",
     "PipelineScoreboard",
     "OutOfOrderScoreboard",
     "CoalescingScoreboard",

@@ -23,13 +23,19 @@ addition:
 
 Every wait and every latency flows through two clock primitives —
 :meth:`ScoreboardBase._wait_until` and :meth:`ScoreboardBase._elapse` —
-which the skip-ahead family resolves with plain arithmetic.  The
-per-cycle reference family in :mod:`repro.core.stepped` overrides only
-those primitives to consume cycles one at a time, so both families make
-identical scheduling decisions and the differential harness
-(``tests/test_engine_differential.py``) can assert bit-identical
-results and telemetry streams.  :func:`make_scoreboard` selects the
-family via ``engine=`` (``SystemConfig.engine``).
+which the skip-ahead engines resolve with plain arithmetic.  The
+per-cycle ``stepped`` reference swaps in :func:`step_until` and
+:func:`step_through`, which consume cycles one at a time, and changes
+nothing else, so both make identical scheduling decisions and the
+differential harness (``tests/test_engine_differential.py``) can assert
+bit-identical results and telemetry streams.  :func:`make_scoreboard`
+picks the pair via ``engine=`` (``SystemConfig.engine``).
+
+There is one scoreboard class per lane discipline; what distinguishes
+schemes that share a discipline (the SGX tree's path persists,
+Triad-NVM's persisted frontier, Anubis' shadow writes) is a constructor
+parameter that :func:`make_scoreboard` reads from the scheme's
+:class:`~repro.core.schemes.SchemePolicy` row.
 
 All scoreboards share the BMT cache for miss modelling, and report node
 update counts, so coalescing's update reduction (~26 % in the paper) is
@@ -44,7 +50,16 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.coalescing import CoalescedPersist, CoalescingUnit
-from repro.core.schemes import UpdateScheme
+from repro.core.schemes import (
+    COALESCING,
+    OOO,
+    PATH,
+    PIPELINE,
+    SEQUENTIAL,
+    UNORDERED,
+    UpdateScheme,
+    resolve_levels,
+)
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.metadata_cache import MetadataCaches
 from repro.telemetry.events import EventKind, level_track
@@ -55,10 +70,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 ENGINE_KINDS = ("batched", "skip_ahead", "stepped")
 """Timing-engine families: the array-native batched engine (default,
 see :mod:`repro.sim.batched`), the scalar skip-ahead event-queue
-engine, and the per-cycle reference oracle (see
-:mod:`repro.core.stepped`).  The batched engine dispatches its eventful
-ops through the skip-ahead scoreboards, so both map to the same
-scoreboard classes here."""
+engine, and the per-cycle reference oracle.  The batched engine
+dispatches its eventful ops through the skip-ahead scoreboards; the
+stepped oracle runs the same scoreboards on per-cycle clocks."""
 
 _RING_COMPACT_THRESHOLD = 1024
 """Released-slot prefix length that triggers ring-buffer compaction."""
@@ -133,6 +147,31 @@ class OccupancyRing:
         return len(releases) - bisect_right(releases, now, self._head)
 
 
+def step_until(now: int, ready: int) -> int:
+    """Per-cycle :meth:`ScoreboardBase._wait_until`: poll the lane every
+    cycle until it frees."""
+    while now < ready:
+        now += 1
+    return now
+
+
+def step_through(start: int, cycles: int) -> int:
+    """Per-cycle :meth:`ScoreboardBase._elapse`: tick through a latency
+    cycle by cycle.
+
+    Both loops are the point: they re-create the original per-cycle
+    stepper's cost model (one comparison per idle cycle, one increment
+    per latency cycle) while computing the same timestamps as the
+    skip-ahead arithmetic.  Stepped runs are therefore O(total cycles
+    waited) — for validation, not sweeps (``BENCH_perf.json`` records
+    the gap in the ``engine_batched`` stage).
+    """
+    now = start
+    for _ in range(cycles):
+        now += 1
+    return now
+
+
 class ScoreboardBase:
     """Shared path-cost logic for all scoreboard engines."""
 
@@ -203,9 +242,6 @@ class ScoreboardBase:
         self.node_update_count += len(path)
         return costs
 
-    def _record(self, persist_id: int, arrival: int, completion: int, updates: int) -> PersistTiming:
-        return PersistTiming(persist_id, arrival, completion, updates)
-
     def engine_busy_until(self) -> int:
         """Cycle until which the verification engine is occupied.
 
@@ -217,10 +253,36 @@ class ScoreboardBase:
 
 
 class SequentialScoreboard(ScoreboardBase):
-    """Baseline sp: one persist at a time walks leaf to root."""
+    """One persist at a time walks leaf to root (sp, secure_wb, and the
+    serial-walk zoo schemes).
 
-    def __init__(self, *args, **kwargs) -> None:
+    Args:
+        ack_levels: Path levels (leaf upward) walked before the store is
+            acknowledged; ``None`` acks at the root.  With fewer, the
+            relaxed upper walk keeps the engine lane busy after the ack
+            (Triad-NVM's persisted frontier, Phoenix's leaf).
+        persist_levels: Path nodes persisted with each store, serialized
+            before the ack: the whole path for the SGX counter tree, the
+            counter leaf for SecPM and Phoenix, N for Triad-NVM.
+        node_persist_cycles: Cost of one node persist.
+    """
+
+    def __init__(
+        self,
+        *args,
+        ack_levels: Optional[int] = None,
+        persist_levels: int = 0,
+        node_persist_cycles: int = 8,
+        **kwargs,
+    ) -> None:
         super().__init__(*args, **kwargs)
+        if ack_levels is not None and ack_levels <= 0:
+            raise ValueError("ack_levels must be positive")
+        self.ack_levels = ack_levels
+        self.persist_levels = persist_levels
+        self.node_persist_cycles = node_persist_cycles
+        self._persist_cost = persist_levels * node_persist_cycles
+        self.path_persists = 0
         self._engine_free = 0
 
     def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
@@ -228,20 +290,40 @@ class SequentialScoreboard(ScoreboardBase):
         costs = self._level_costs(path)
         # One lane: wait for the engine to free, then walk the path.
         start = self._wait_until(arrival, self._engine_free)
-        completion = self._elapse(start, sum(costs))
-        self._engine_free = completion
+        acked = self.ack_levels
+        if acked is None:
+            completion = self._elapse(start, sum(costs) + self._persist_cost)
+            self._engine_free = completion
+        else:
+            # Ack once the persisted frontier (leaf upward) is durable,
+            # while the relaxed upper levels keep the engine busy.
+            completion = self._elapse(
+                start, sum(costs[:acked]) + self._persist_cost
+            )
+            self._engine_free = self._elapse(completion, sum(costs[acked:]))
+        self.path_persists += self.persist_levels
         self._emit_serial_spans(persist_id, start, costs)
-        return self._record(persist_id, arrival, completion, len(path))
+        return PersistTiming(persist_id, arrival, completion, len(path))
 
     def engine_busy_until(self) -> int:
         return self._engine_free
 
 
 class PipelineScoreboard(ScoreboardBase):
-    """PLP 1: in-order pipelined BMT updates (strict persistency)."""
+    """PLP 1: in-order pipelined BMT updates (strict persistency).
 
-    def __init__(self, *args, **kwargs) -> None:
+    Args:
+        stage_extra: Cycles every level stage adds to its node update —
+            Anubis (arXiv:1912.04726) mirrors each level update into a
+            persisted shadow table, folded into the stage occupancy.
+            ``stage_extra_writes`` counts those writes for the recovery
+            model.
+    """
+
+    def __init__(self, *args, stage_extra: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        self.stage_extra = stage_extra
+        self.stage_extra_writes = 0
         # One busy-until timestamp per BMT level, indexed by level: the
         # per-lane integer-array state the skip-ahead engine jumps on.
         self._level_done = array("q", bytes(8 * (self.geometry.depth + 1)))
@@ -249,6 +331,12 @@ class PipelineScoreboard(ScoreboardBase):
     def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
+        extra = self.stage_extra
+        if extra:
+            # Copy, never mutate: _level_costs may hand out memoized
+            # lists (the batched engine's scripted walks are reused).
+            costs = [cost + extra for cost in costs]
+            self.stage_extra_writes += len(path)
         t = arrival
         level_done = self._level_done
         tel = self.telemetry
@@ -270,163 +358,11 @@ class PipelineScoreboard(ScoreboardBase):
                     duration=cost,
                 )
             level -= 1
-        return self._record(persist_id, arrival, t, len(path))
+        return PersistTiming(persist_id, arrival, t, len(path))
 
     def engine_busy_until(self) -> int:
         # A demand verification enters at the leaf stage.
         return self._level_done[self.geometry.depth]
-
-
-class SGXPathScoreboard(SequentialScoreboard):
-    """Extension (§IV-D): strict persistency over an SGX counter tree.
-
-    Unlike the BMT, the counter tree's crash recovery requires **every
-    node on the update path** to persist (parent counters key the child
-    MACs), so each persist pays the sequential walk *plus* serialized
-    node persists — and shadow-copy atomicity keeps the walk exclusive.
-    """
-
-    def __init__(self, *args, node_persist_cycles: int = 8, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.node_persist_cycles = node_persist_cycles
-        self.path_persists = 0
-
-    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
-        path = self.geometry.path_tuple(leaf_index)
-        costs = self._level_costs(path)
-        start = self._wait_until(arrival, self._engine_free)
-        persist_cost = len(path) * self.node_persist_cycles
-        completion = self._elapse(start, sum(costs) + persist_cost)
-        self._engine_free = completion
-        self.path_persists += len(path)
-        self._emit_serial_spans(persist_id, start, costs)
-        return self._record(persist_id, arrival, completion, len(path))
-
-
-class TriadNVMScoreboard(SequentialScoreboard):
-    """Scheme zoo: Triad-NVM (arXiv:1810.09438) selective persistence.
-
-    The lowest ``persist_levels`` nodes of the update path persist with
-    the store (serialized node persists, like the SGX tree but bounded);
-    the store is acknowledged as soon as that frontier is durable, while
-    the relaxed upper-tree walk continues in the background on the
-    single engine lane.  Recovery rebuilds only the relaxed levels.
-    """
-
-    def __init__(
-        self,
-        *args,
-        persist_levels: int = 2,
-        node_persist_cycles: int = 8,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        if persist_levels <= 0:
-            raise ValueError("persist_levels must be positive")
-        self.persist_levels = persist_levels
-        self.node_persist_cycles = node_persist_cycles
-        self.path_persists = 0
-
-    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
-        path = self.geometry.path_tuple(leaf_index)
-        costs = self._level_costs(path)
-        start = self._wait_until(arrival, self._engine_free)
-        persisted = min(self.persist_levels, len(path))
-        # Ack once the persisted frontier (leaf upward) is durable ...
-        completion = self._elapse(
-            start, sum(costs[:persisted]) + persisted * self.node_persist_cycles
-        )
-        # ... while the relaxed upper levels keep the engine busy.
-        self._engine_free = self._elapse(completion, sum(costs[persisted:]))
-        self.path_persists += persisted
-        self._emit_serial_spans(persist_id, start, costs)
-        return self._record(persist_id, arrival, completion, len(path))
-
-
-class PhoenixScoreboard(TriadNVMScoreboard):
-    """Scheme zoo: Phoenix (arXiv:1911.01922) persistently-secure tree.
-
-    Every counter (leaf) write persists through; the cached upper tree
-    is restored lazily after a crash, so the store acks after the leaf
-    update + its persist — Triad-NVM's recurrence with a one-level
-    persisted frontier.
-    """
-
-    def __init__(self, *args, node_persist_cycles: int = 8, **kwargs) -> None:
-        super().__init__(
-            *args,
-            persist_levels=1,
-            node_persist_cycles=node_persist_cycles,
-            **kwargs,
-        )
-
-
-class SecPMScoreboard(SequentialScoreboard):
-    """Scheme zoo: SecPM (arXiv:1901.00620) write-through counters.
-
-    The sequential walk of sp plus one serialized counter persist per
-    store (the write-through of the updated counter block into the
-    persistence domain); both invariants hold, so the store waits for
-    the root like sp does.
-    """
-
-    def __init__(self, *args, node_persist_cycles: int = 8, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.node_persist_cycles = node_persist_cycles
-        self.counter_persists = 0
-
-    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
-        path = self.geometry.path_tuple(leaf_index)
-        costs = self._level_costs(path)
-        start = self._wait_until(arrival, self._engine_free)
-        completion = self._elapse(start, sum(costs) + self.node_persist_cycles)
-        self._engine_free = completion
-        self.counter_persists += 1
-        self._emit_serial_spans(persist_id, start, costs)
-        return self._record(persist_id, arrival, completion, len(path))
-
-
-class AnubisScoreboard(PipelineScoreboard):
-    """Scheme zoo: Anubis (arXiv:1912.04726) shadow-metadata tracking.
-
-    The pipelined recurrence of PLP 1, with every level update also
-    writing its shadow-table entry (``shadow_write_cycles`` folded into
-    the stage occupancy).  Shadow writes are what recovery replays, so
-    they are counted for the recovery model.
-    """
-
-    def __init__(self, *args, shadow_write_cycles: int = 4, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.shadow_write_cycles = shadow_write_cycles
-        self.shadow_writes = 0
-
-    def submit(self, persist_id: int, leaf_index: int, arrival: int) -> PersistTiming:
-        path = self.geometry.path_tuple(leaf_index)
-        # Copy, never mutate: _level_costs may hand out memoized lists
-        # (the batched engine's scripted walks are reused across runs).
-        shadow = self.shadow_write_cycles
-        costs = [cost + shadow for cost in self._level_costs(path)]
-        self.shadow_writes += len(path)
-        t = arrival
-        level_done = self._level_done
-        tel = self.telemetry
-        wait_until = self._wait_until
-        elapse = self._elapse
-        level = self.geometry.depth
-        for cost in costs:
-            start = wait_until(t, level_done[level])
-            t = elapse(start, cost)
-            level_done[level] = t
-            if tel is not None:
-                tel.emit(
-                    EventKind.BMT_LEVEL_SPAN,
-                    start,
-                    level_track(level),
-                    ident=persist_id,
-                    duration=cost,
-                )
-            level -= 1
-        return self._record(persist_id, arrival, t, len(path))
 
 
 class UnorderedScoreboard(ScoreboardBase):
@@ -436,7 +372,7 @@ class UnorderedScoreboard(ScoreboardBase):
         path = self.geometry.path_tuple(leaf_index)
         costs = self._level_costs(path)
         self._emit_serial_spans(persist_id, arrival, costs)
-        return self._record(persist_id, arrival, arrival, len(path))
+        return PersistTiming(persist_id, arrival, arrival, len(path))
 
 
 class OutOfOrderScoreboard(ScoreboardBase):
@@ -541,7 +477,7 @@ class OutOfOrderScoreboard(ScoreboardBase):
             self._release_wpq(completion)
             self._emit_serial_spans(persist_id, first_issue, costs)
             results.append(
-                self._record(persist_id, arrival, completion, len(path))
+                PersistTiming(persist_id, arrival, completion, len(path))
             )
         self._drain_epoch_span(epoch_span, epoch_frontier)
         self._epoch_done.append(epoch_frontier)
@@ -566,10 +502,10 @@ class OutOfOrderScoreboard(ScoreboardBase):
 class CoalescingScoreboard(OutOfOrderScoreboard):
     """PLP 3: OOO + paired LCA coalescing of same-epoch updates."""
 
-    def __init__(self, *args, coalescing_policy: str = "paired", **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._coalescer = CoalescingUnit(
-            self.geometry, policy=coalescing_policy, telemetry=self.telemetry
+            self.geometry, policy="paired", telemetry=self.telemetry
         )
         self.coalesced_away = 0
 
@@ -612,13 +548,23 @@ class CoalescingScoreboard(OutOfOrderScoreboard):
                 epoch_frontier = completion
             self._release_wpq(completion)
             results.append(
-                self._record(
+                PersistTiming(
                     persist.persist_id, arrival, completion, persist.update_count
                 )
             )
         self._drain_epoch_span(epoch_span, epoch_frontier)
         self._epoch_done.append(epoch_frontier)
         return results
+
+
+SCOREBOARDS: Dict[str, type] = {
+    SEQUENTIAL: SequentialScoreboard,
+    PIPELINE: PipelineScoreboard,
+    UNORDERED: UnorderedScoreboard,
+    OOO: OutOfOrderScoreboard,
+    COALESCING: CoalescingScoreboard,
+}
+"""Scoreboard class per lane discipline."""
 
 
 def make_scoreboard(
@@ -633,51 +579,38 @@ def make_scoreboard(
     engine: str = "skip_ahead",
     triad_levels: int = 2,
 ) -> ScoreboardBase:
-    """Build the scoreboard matching a scheme.
+    """Build the scoreboard a scheme's policy row describes.
 
-    ``secure_wb`` uses the sequential scoreboard (the paper notes that
-    evicted dirty blocks update the BMT sequentially in the baseline).
-    ``engine`` selects the timing family: ``"batched"`` and
-    ``"skip_ahead"`` share the event-queue scoreboards (the batched
-    engine only changes how the trace walk reaches them), while
-    ``"stepped"`` selects the per-cycle reference oracle from
-    :mod:`repro.core.stepped`; all produce bit-identical timings.
+    The row's lane discipline picks the class and its ack frontier,
+    node persists and stage extra become constructor parameters
+    (``triad_levels`` resolves Triad-NVM's N).  ``engine`` selects the
+    clock: ``"batched"`` and ``"skip_ahead"`` share the skip-ahead
+    arithmetic (the batched engine only changes how the trace walk
+    reaches the scoreboard), while ``"stepped"`` installs the per-cycle
+    :func:`step_until`/:func:`step_through` pair; all produce
+    bit-identical timings.
     """
     if engine not in ENGINE_KINDS:
         raise ValueError(
             f"engine must be one of {ENGINE_KINDS}, got {engine!r}"
         )
-    if engine == "stepped":
-        from repro.core.stepped import STEPPED_SCOREBOARDS
-
-        classes = STEPPED_SCOREBOARDS
-    else:
-        classes = SCOREBOARDS
-    args = (geometry, mac_latency, bmt_miss_latency, metadata, telemetry)
-    if scheme in (UpdateScheme.SP, UpdateScheme.SECURE_WB):
-        return classes[UpdateScheme.SP](*args)
-    if scheme in (UpdateScheme.O3, UpdateScheme.COALESCING):
-        return classes[scheme](
-            *args, ett_capacity=ett_capacity, wpq_ring=wpq_ring
+    row = scheme.policy
+    levels = geometry.levels
+    kwargs = {}
+    if row.discipline == SEQUENTIAL:
+        if row.ack_levels != PATH:
+            kwargs["ack_levels"] = resolve_levels(row.ack_levels, levels, triad_levels)
+        kwargs["persist_levels"] = resolve_levels(
+            row.persist_levels, levels, triad_levels
         )
-    if scheme is UpdateScheme.TRIAD_NVM:
-        return classes[scheme](*args, persist_levels=triad_levels)
-    try:
-        return classes[scheme](*args)
-    except KeyError:
-        raise ValueError(f"no scoreboard for scheme {scheme}") from None
-
-
-SCOREBOARDS: Dict[UpdateScheme, type] = {
-    UpdateScheme.SP: SequentialScoreboard,
-    UpdateScheme.SGX_SP: SGXPathScoreboard,
-    UpdateScheme.PIPELINE: PipelineScoreboard,
-    UpdateScheme.UNORDERED: UnorderedScoreboard,
-    UpdateScheme.O3: OutOfOrderScoreboard,
-    UpdateScheme.COALESCING: CoalescingScoreboard,
-    UpdateScheme.TRIAD_NVM: TriadNVMScoreboard,
-    UpdateScheme.PHOENIX: PhoenixScoreboard,
-    UpdateScheme.SECPM_WT: SecPMScoreboard,
-    UpdateScheme.ANUBIS: AnubisScoreboard,
-}
-"""Skip-ahead scoreboard class per scheme (``secure_wb`` maps to SP)."""
+    elif row.discipline == PIPELINE:
+        kwargs["stage_extra"] = row.stage_extra
+    elif row.discipline in (OOO, COALESCING):
+        kwargs.update(ett_capacity=ett_capacity, wpq_ring=wpq_ring)
+    scoreboard = SCOREBOARDS[row.discipline](
+        geometry, mac_latency, bmt_miss_latency, metadata, telemetry, **kwargs
+    )
+    if engine == "stepped":
+        scoreboard._wait_until = step_until
+        scoreboard._elapse = step_through
+    return scoreboard

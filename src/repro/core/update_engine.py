@@ -18,6 +18,12 @@ per scheme:
   below the LCA it shares with its successor and delegate the rest.
 * ``unordered`` — the strawman: no ordering or epoch constraints at all.
 
+Each scheme follows the rule of its policy row's lane discipline
+(:data:`repro.core.schemes.SCHEME_TABLE`): ``secure_wb`` and the
+serial-walk zoo schemes schedule like ``sp``, ``anubis`` like
+``pipeline``.  Their extra node persists and shadow writes are
+timing-only and modelled by the scoreboards.
+
 The engine is intended for unit-scale validation (hundreds to a few
 thousand persists); the trace-scale simulations use the closed-form
 scoreboards in :mod:`repro.core.schedulers`, which the test suite
@@ -32,7 +38,14 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 from repro.core.coalescing import CoalescingUnit
 from repro.core.ett import EpochTrackingTable, ETTFullError
 from repro.core.ptt import PersistTrackingTable, PTTEntry, PTTFullError
-from repro.core.schemes import UpdateScheme
+from repro.core.schemes import (
+    COALESCING,
+    OOO,
+    PIPELINE,
+    SEQUENTIAL,
+    UNORDERED,
+    UpdateScheme,
+)
 from repro.crypto.bmt import BMTGeometry
 from repro.mem.metadata_cache import MetadataCaches
 from repro.sim.engine import CompletionHeap
@@ -156,7 +169,7 @@ class CycleAccurateEngine:
         )
         self._submit_cycle[persist_id] = self.now
         self._updates_done[persist_id] = 0
-        if self.config.scheme is UpdateScheme.COALESCING:
+        if self.config.scheme.policy.coalesced:
             self._try_coalesce(entry, leaf_index)
         return True
 
@@ -350,8 +363,8 @@ class CycleAccurateEngine:
     # -- phase 2: start new node updates --------------------------------
 
     def _schedule_starts(self) -> None:
-        scheme = self.config.scheme
-        issue_budget = 1 if scheme in (UpdateScheme.O3, UpdateScheme.COALESCING) else None
+        discipline = self.config.scheme.policy.discipline
+        issue_budget = 1 if discipline in (OOO, COALESCING) else None
         entries = list(self.ptt)
         for position, entry in enumerate(entries):
             if issue_budget is not None and issue_budget <= 0:
@@ -387,21 +400,15 @@ class CycleAccurateEngine:
         entries: List[PTTEntry],
         level: int,
     ) -> bool:
-        """Scheme-specific: may ``entry`` start an update at ``level``?"""
-        scheme = self.config.scheme
-        if scheme is UpdateScheme.UNORDERED:
+        """May ``entry`` start an update at ``level`` under the scheme's
+        lane discipline?"""
+        discipline = self.config.scheme.policy.discipline
+        if discipline == UNORDERED:
             return True
-        if scheme in (
-            UpdateScheme.SP,
-            # The zoo's serial-walk schemes share sp's one-at-a-time
-            # engine discipline; their extra persists are timing-only.
-            UpdateScheme.TRIAD_NVM,
-            UpdateScheme.PHOENIX,
-            UpdateScheme.SECPM_WT,
-        ):
+        if discipline == SEQUENTIAL:
             head = self.ptt.head()
             return head is not None and head.persist_id == entry.persist_id
-        if scheme in (UpdateScheme.PIPELINE, UpdateScheme.ANUBIS):
+        if discipline == PIPELINE:
             if position == 0:
                 return True
             older = entries[position - 1]

@@ -17,8 +17,9 @@ This model estimates recovery time for two strategies:
 
 On top of those, :meth:`RecoveryTimeModel.estimate_for_scheme` maps
 each :class:`~repro.core.schemes.UpdateScheme` to what its persisted
-metadata leaves to rebuild — the cross-paper recovery-latency axis the
-scheme zoo exists to compare (see PAPERS.md).
+metadata leaves to rebuild — the recovery procedure named in its policy
+row (``SchemePolicy.recovery``) — the cross-paper recovery-latency axis
+the scheme zoo exists to compare (see PAPERS.md).
 
 Costs: one NVM block read per counter block fetched, one MAC-unit pass
 per recomputed node, with a configurable number of parallel MAC units.
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set
 
-from repro.core.schemes import UpdateScheme
+from repro.core.schemes import UpdateScheme, resolve_levels
 from repro.crypto.bmt import BMTGeometry, BonsaiMerkleTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -229,10 +230,12 @@ class RecoveryTimeModel:
           and checks the root block only.
         """
         geometry = self.geometry
-        if scheme is UpdateScheme.TRIAD_NVM:
-            if triad_persist_levels <= 0:
-                raise ValueError("triad_persist_levels must be positive")
-            persisted = min(triad_persist_levels, geometry.levels)
+        policy = scheme.policy
+        recovery = policy.recovery
+        if recovery == "triad_frontier":
+            persisted = resolve_levels(
+                policy.persist_levels, geometry.levels, triad_persist_levels
+            )
             # Relaxed interior: every level above the persisted
             # frontier, rebuilt from the frontier level's nodes.
             frontier_level = geometry.levels - 1 - persisted
@@ -244,12 +247,12 @@ class RecoveryTimeModel:
                 for level in range(frontier_level + 1)
             )
             return self._estimate_from_counts("triad_frontier", reads, nodes)
-        if scheme is UpdateScheme.PHOENIX:
+        if recovery == "lazy_path":
             # Lazy restoration: upfront cost is one leaf-to-root path
             # verification; subtree restores overlap execution.
             depth = geometry.levels
             return self._estimate_from_counts("lazy_path", depth, depth)
-        if scheme is UpdateScheme.ANUBIS:
+        if recovery == "shadow_replay":
             if shadow_entries <= 0:
                 raise ValueError("shadow_entries must be positive")
             # Shadow-table replay: bounded by the persisted shadow
@@ -258,7 +261,7 @@ class RecoveryTimeModel:
             entries = min(shadow_entries, geometry.num_leaves)
             nodes = entries + geometry.levels - 1
             return self._estimate_from_counts("shadow_replay", entries, nodes)
-        if scheme is UpdateScheme.SGX_SP:
+        if recovery == "root_check":
             # The whole path persisted with each store: recovery only
             # validates the stored root.
             return self._estimate_from_counts("root_check", 1, 1)
@@ -377,8 +380,9 @@ def measure_recovery(
     model = model or RecoveryTimeModel(geometry)
     counters: Dict[int, bytes] = dict(mem.nvm.counters)
     durable = mem.durable_root.value
+    recovery = scheme.policy.recovery if scheme is not None else "rebuild"
 
-    if scheme is UpdateScheme.SGX_SP:
+    if recovery == "root_check":
         # Every path node persisted in place: recovery reads the stored
         # root block and compares it to the on-chip register — no
         # recomputation at all.
@@ -392,10 +396,10 @@ def measure_recovery(
             estimate=model._estimate_from_counts("root_check", 1, 0),
         )
 
-    if scheme is UpdateScheme.TRIAD_NVM:
-        if triad_persist_levels <= 0:
-            raise ValueError("triad_persist_levels must be positive")
-        persisted = min(triad_persist_levels, geometry.levels)
+    if recovery == "triad_frontier":
+        persisted = resolve_levels(
+            scheme.policy.persist_levels, geometry.levels, triad_persist_levels
+        )
         frontier_level = geometry.levels - 1 - persisted
         # What Triad-NVM left durable: the tree levels at and below the
         # frontier, reconstructed here from the counter blocks (in
@@ -443,7 +447,7 @@ def measure_recovery(
             ),
         )
 
-    if scheme is UpdateScheme.PHOENIX:
+    if recovery == "lazy_path":
         # Lazy restoration's upfront cost: verify one leaf-to-root path
         # against the on-chip register; everything else overlaps
         # execution.  Sibling hashes come from the persisted metadata
@@ -474,7 +478,7 @@ def measure_recovery(
             ),
         )
 
-    if scheme is UpdateScheme.ANUBIS:
+    if recovery == "shadow_replay":
         if shadow_entries <= 0:
             raise ValueError("shadow_entries must be positive")
         # Shadow-table replay: the shadow region records which metadata

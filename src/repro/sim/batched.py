@@ -572,7 +572,7 @@ class MetadataReplay:
         "_bmt_stats",
         "_comb",
         "_coalescer",
-        "_secure_wb",
+        "_writeback_persists",
         "_stream",
         "_walks",
         "_comb_stream",
@@ -608,10 +608,12 @@ class MetadataReplay:
         # The WPQ write-combiner (timing.{_WriteCombiner,_tuple_writes}):
         # a 16-entry LRU over (kind, block) keys, insertion order = LRU.
         self._comb: dict = {}
-        self._secure_wb = scheme is UpdateScheme.SECURE_WB
+        # A scheme without persistency (secure_wb) walks the BMT for
+        # written-back blocks (timing.TraceSimulator._handle_writeback).
+        self._writeback_persists = not scheme.policy.persistent
         self._coalescer = (
             CoalescingUnit(geometry, policy="paired", telemetry=None)
-            if scheme is UpdateScheme.COALESCING
+            if scheme.policy.coalesced
             else None
         )
         self._stream: List[bool] = []
@@ -660,7 +662,7 @@ class MetadataReplay:
         mac_latency = self._mac_latency
         miss_cost = self._miss_cost
         boundary = self.boundary
-        secure_wb = self._secure_wb
+        writeback_persists = self._writeback_persists
         coalescer = self._coalescer
         comb = self._comb
         walks = self._walks
@@ -698,7 +700,7 @@ class MetadataReplay:
             emit(ctr(victim // bpcb, True))
             emit(mac(victim >> 3, True))
             tuple_writes(victim)
-            if secure_wb:
+            if writeback_persists:
                 bmt_update_walk(path_tuple(victim // bpcb % num_leaves))
 
         def flush(blocks) -> None:

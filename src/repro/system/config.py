@@ -35,8 +35,10 @@ class SystemConfig:
 
     Defaults reproduce Table III: 4 GHz OOO core, 64 KB L1 / 512 KB L2 /
     4 MB L3, 32-entry WPQ, 128 KB counter/MAC/BMT caches, 9-level BMT,
-    40-cycle MAC latency, 8 GB PCM, epoch size 32, 64-entry PTT,
-    2-entry ETT.
+    40-cycle MAC latency, 8 GB PCM, epoch size 32, 2-entry ETT.  The
+    64-entry PTT bounds only the cycle-accurate engine
+    (``EngineConfig.ptt_capacity``); the trace-scale timing model's
+    back-pressure is the WPQ.
     """
 
     scheme: UpdateScheme = UpdateScheme.SP
@@ -83,7 +85,6 @@ class SystemConfig:
 
     # Persistency.
     epoch_size: int = 32
-    ptt_entries: int = 64
     ett_entries: int = 2
     protect_stack: bool = False
     """``True`` models the paper's '_full' configurations where every
@@ -126,7 +127,6 @@ class SystemConfig:
         for name in (
             "epoch_size",
             "wpq_entries",
-            "ptt_entries",
             "ett_entries",
             "bmt_arity",
             "triad_persist_levels",

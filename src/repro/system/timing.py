@@ -23,7 +23,9 @@ selected by ``SystemConfig.engine``: the skip-ahead event-queue engine
 (default) jumps the clock straight to each pending completion event,
 while the per-cycle ``"stepped"`` reference burns every cycle and acts
 as the validation oracle — both are bit-identical by construction (see
-:mod:`repro.core.schedulers` and :mod:`repro.core.stepped`).
+:mod:`repro.core.schedulers`).  What each persist writes beyond its
+tuple comes from the scheme's policy row
+(:data:`repro.core.schemes.SCHEME_TABLE`).
 
 The result reports total cycles, IPC, and persists-per-kilo-instruction
 (Table V's PPKI metric).
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.core.schedulers import OccupancyRing, make_scoreboard
-from repro.core.schemes import UpdateScheme
+from repro.core.schemes import resolve_levels
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.metadata_cache import MetadataCaches
 from repro.mem.nvm import NVMModel
@@ -160,6 +162,7 @@ class TraceSimulator:
         "_load_stall",
         "_flush_stall",
         "_extra_persist_writes",
+        "_writeback_persists",
     )
 
     def __init__(self, config: SystemConfig) -> None:
@@ -222,20 +225,14 @@ class TraceSimulator:
         )
         # NVM writes issued per persist beyond the data/counter/MAC
         # tuple: the tree nodes (or shadow entries) each zoo scheme
-        # pushes into the persistence domain.  sgx_sp writes its whole
-        # path; triad_nvm its lowest N levels; phoenix every counter
-        # leaf; anubis one shadow-table entry; all others none.
-        scheme = self.scheme
-        if scheme.persists_whole_path:
-            self._extra_persist_writes = self.geometry.levels - 1
-        elif scheme is UpdateScheme.TRIAD_NVM:
-            self._extra_persist_writes = min(
-                config.triad_persist_levels, self.geometry.levels
-            )
-        elif scheme in (UpdateScheme.PHOENIX, UpdateScheme.ANUBIS):
-            self._extra_persist_writes = 1
-        else:
-            self._extra_persist_writes = 0
+        # pushes into the persistence domain.
+        policy = self.scheme.policy
+        self._extra_persist_writes = resolve_levels(
+            policy.extra_nvm_writes, self.geometry.levels, config.triad_persist_levels
+        )
+        # A scheme without persistency (secure_wb) updates the BMT only
+        # for the dirty blocks the LLC writes back.
+        self._writeback_persists = not policy.persistent
         self.epochs = (
             EpochTracker(config.epoch_size) if self.scheme.uses_epochs else None
         )
@@ -463,7 +460,7 @@ class TraceSimulator:
             self._track_dirty(block)
         if not persistent:
             return
-        if self.scheme is UpdateScheme.SECURE_WB:
+        if self._writeback_persists:
             return  # persists happen on natural write-backs
         if self.epochs is not None:  # epoch persistency (o3 / coalescing)
             closed = self.epochs.record_store(block)
@@ -634,7 +631,7 @@ class TraceSimulator:
         now = int(self._clock())
         arrival = self._metadata_update(block, now)
         self._tuple_writes(block, now)
-        if self.scheme is not UpdateScheme.SECURE_WB:
+        if not self._writeback_persists:
             return
         # secure_WB performs sequential BMT updates for evicted blocks;
         # the WPQ gates how far the core can run ahead of the engine.

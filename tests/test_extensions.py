@@ -3,7 +3,7 @@ organizations, and related config plumbing."""
 
 import pytest
 
-from repro.core.schedulers import SGXPathScoreboard, make_scoreboard
+from repro.core.schedulers import make_scoreboard
 from repro.core.schemes import UpdateScheme
 from repro.crypto.bmt import BMTGeometry
 from repro.system.config import SystemConfig
@@ -33,7 +33,6 @@ def test_sgx_scheme_properties():
 def test_sgx_scoreboard_charges_path_persists(geometry):
     bmt = make_scoreboard(UpdateScheme.SP, geometry, mac_latency=40)
     sgx = make_scoreboard(UpdateScheme.SGX_SP, geometry, mac_latency=40)
-    assert isinstance(sgx, SGXPathScoreboard)
     t_bmt = bmt.submit(0, 0, arrival=0)
     t_sgx = sgx.submit(0, 0, arrival=0)
     # Same MAC work plus serialized per-node persist cost.

@@ -89,7 +89,7 @@ def test_secpm_adds_one_counter_persist_over_sp(geometry):
     _, sp = _submit_one(UpdateScheme.SP, geometry)
     sb, wt = _submit_one(UpdateScheme.SECPM_WT, geometry)
     assert wt.completion == sp.completion + sb.node_persist_cycles
-    assert sb.counter_persists == 1
+    assert sb.path_persists == 1
 
 
 def test_triad_acks_at_persisted_frontier(geometry):
@@ -127,12 +127,12 @@ def test_anubis_pipelines_with_shadow_cost(geometry):
     p1 = pipe.submit(0, leaf_index=5, arrival=0)
     p2 = pipe.submit(1, leaf_index=6, arrival=0)
     levels = geometry.levels
-    assert t1.completion == p1.completion + levels * sb.shadow_write_cycles
-    assert sb.shadow_writes == 2 * levels
+    assert t1.completion == p1.completion + levels * sb.stage_extra
+    assert sb.stage_extra_writes == 2 * levels
     # Pipelining: the second persist finishes one stage (not one whole
     # walk) after the first, exactly as the plain pipeline does.
     assert t2.completion - t1.completion == (p2.completion - p1.completion) + (
-        sb.shadow_write_cycles
+        sb.stage_extra
     )
 
 

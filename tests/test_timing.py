@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.schemes import UpdateScheme
+from repro.core.update_engine import EngineConfig
 from repro.system.config import SystemConfig
 from repro.system.factory import build_simulator, run_benchmark, run_trace
 from repro.system.timing import TraceSimulator
@@ -28,7 +29,9 @@ def test_config_defaults_match_table_iii():
     assert cfg.counter_cache_bytes == 128 * 1024
     assert cfg.mac_latency == 40
     assert cfg.epoch_size == 32
-    assert cfg.ptt_entries == 64
+    # Table III's 64-entry PTT bounds only the cycle-accurate engine.
+    assert EngineConfig().ptt_capacity == 64
+    assert not hasattr(cfg, "ptt_entries")
     assert cfg.ett_entries == 2
     assert cfg.geometry().levels == 9
 
@@ -74,7 +77,6 @@ def test_config_rejects_non_scheme_value(value):
     [
         "epoch_size",
         "wpq_entries",
-        "ptt_entries",
         "ett_entries",
         "bmt_arity",
         "triad_persist_levels",

@@ -31,6 +31,27 @@ def test_sp_serializes_persists():
     assert engine.completions == {0: 120, 1: 240, 2: 360}
 
 
+@pytest.mark.parametrize("scheme", list(UpdateScheme), ids=lambda s: s.value)
+def test_every_scheme_drains(scheme):
+    """Regression: secure_wb and sgx_sp used to fall into the ETT
+    authorization branch and deadlock ("failed to drain").  Each scheme
+    schedules by its policy row's lane discipline; the serial-walk
+    schemes share sp's one-at-a-time rule (node persists are
+    timing-only, modelled by the scoreboards)."""
+
+    def drained(scheme):
+        engine = make_engine(scheme)
+        for i in range(4):
+            assert engine.submit(i, leaf_index=i)
+        engine.run_until_drained()
+        return engine.completions
+
+    completions = drained(scheme)
+    assert sorted(completions) == [0, 1, 2, 3]
+    if scheme in (UpdateScheme.SECURE_WB, UpdateScheme.SGX_SP):
+        assert completions == drained(UpdateScheme.SP)
+
+
 def test_pipeline_overlaps_levels():
     """Pipelined updates: steady-state one persist per MAC latency."""
     engine = make_engine(UpdateScheme.PIPELINE)
