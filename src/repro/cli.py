@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import List, Optional, Sequence
 
 from repro.analysis.report import Table
@@ -104,22 +105,46 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweepable_params() -> List[str]:
+    """The integer-valued SystemConfig fields ``sweep`` can vary."""
+    defaults = SystemConfig()
+    return [f.name for f in fields(SystemConfig) if type(getattr(defaults, f.name)) is int]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scheme = UpdateScheme.from_name(args.scheme)
-    values = [int(v) for v in args.values.split(",")]
-    if not hasattr(SystemConfig(), args.param):
-        print(f"unknown SystemConfig parameter {args.param!r}", file=sys.stderr)
+    try:
+        scheme = UpdateScheme.from_name(args.scheme)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    jobs = [
-        SweepJob.make(
-            args.benchmark,
-            name,
-            kilo_instructions=args.ki,
-            **{args.param: value},
-        )
-        for value in values
-        for name in ("secure_wb", scheme.value)
-    ]
+    if args.benchmark not in SPEC_PROFILES:
+        print(f"unknown benchmark {args.benchmark!r}; see `plp-repro list`", file=sys.stderr)
+        return 2
+    sweepable = _sweepable_params()
+    if args.param not in sweepable:
+        if hasattr(SystemConfig(), args.param):
+            reason = f"cannot sweep {args.param!r}: not an integer SystemConfig field"
+        else:
+            reason = f"unknown SystemConfig parameter {args.param!r}"
+        print(f"{reason}; sweepable: {', '.join(sweepable)}", file=sys.stderr)
+        return 2
+    try:
+        values = [int(v) for v in args.values.split(",")]
+        jobs = [
+            SweepJob.make(
+                args.benchmark,
+                name,
+                kilo_instructions=args.ki,
+                **{args.param: value},
+            )
+            for value in values
+            for name in ("secure_wb", scheme.value)
+        ]
+        for job in jobs:
+            job.resolved_config()  # rejects out-of-range values up front
+    except ValueError as exc:
+        print(f"bad --values {args.values!r}: {exc}", file=sys.stderr)
+        return 2
     flat, report = run_jobs(jobs, workers=args.jobs, cache=not args.no_cache)
     table = Table(
         f"{args.benchmark} / {scheme.value}: sweep of {args.param}",

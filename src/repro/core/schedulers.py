@@ -221,8 +221,12 @@ class ScoreboardBase:
             EventKind.BMT_LEVEL_SPAN, start, costs, persist_id, self.geometry.depth
         )
 
-    def _level_costs(self, path: Sequence[int]) -> List[int]:
-        """Per-node update cost (MAC latency + any BMT cache miss)."""
+    def _level_costs(self, path: Sequence[int]) -> Sequence[int]:
+        """Per-node update cost (MAC latency + any BMT cache miss).
+
+        Callers only read the costs: the batched engine's scripted
+        walks hand out shared tuples in place of this method.
+        """
         mac = self.mac_latency
         metadata = self.metadata
         if metadata is None:
@@ -333,8 +337,8 @@ class PipelineScoreboard(ScoreboardBase):
         costs = self._level_costs(path)
         extra = self.stage_extra
         if extra:
-            # Copy, never mutate: _level_costs may hand out memoized
-            # lists (the batched engine's scripted walks are reused).
+            # Copy, never mutate: _level_costs may hand out shared
+            # tuples (the batched engine's scripted walks).
             costs = [cost + extra for cost in costs]
             self.stage_extra_writes += len(path)
         t = arrival

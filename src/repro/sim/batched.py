@@ -52,7 +52,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.coalescing import CoalescingUnit
-from repro.core.schemes import UpdateScheme
 from repro.persistency.epochs import Epoch
 from repro.workloads.trace import KIND_SFENCE, MemoryTrace
 
@@ -99,6 +98,21 @@ def _prepass_class(scheme, config) -> Tuple[str, Optional[int]]:
     if scheme.write_through:
         return "wt", None
     return "wb", None
+
+
+def _prepass_key(sim) -> tuple:
+    """Every config input of the functional prepass: its memo key."""
+    cfg = sim.config
+    return (
+        *_prepass_class(sim.scheme, cfg),
+        cfg.protect_stack,
+        cfg.l1_bytes,
+        cfg.l1_assoc,
+        cfg.l2_bytes,
+        cfg.l2_assoc,
+        cfg.l3_bytes,
+        cfg.l3_assoc,
+    )
 
 
 def _blocks_of_column(addresses) -> List[int]:
@@ -437,18 +451,7 @@ def _prepass_for(sim, trace: MemoryTrace) -> PrepassResult:
     same trace under the same cache/persistency shape, and inherited
     for free by forked sweep-pool workers.
     """
-    cfg = sim.config
-    key = (
-        "batched_prepass",
-        *_prepass_class(sim.scheme, cfg),
-        cfg.protect_stack,
-        cfg.l1_bytes,
-        cfg.l1_assoc,
-        cfg.l2_bytes,
-        cfg.l2_assoc,
-        cfg.l3_bytes,
-        cfg.l3_assoc,
-    )
+    key = ("batched_prepass", *_prepass_key(sim))
     memo = trace._stat_cache
     result = memo.get(key)
     if result is None:
@@ -473,7 +476,9 @@ class MetadataScript:
     * ``stream`` — hit/miss booleans for counter reads/writes, MAC
       reads/writes, and the load path's BMT read walks, in call order;
     * ``walks`` — one ``(costs, misses)`` entry per ``_level_costs``
-      call (the scoreboards' BMT update walks), in call order;
+      call (the scoreboards' BMT update walks), in call order.  ``costs``
+      is a tuple the consumers only read: every walk without a BMT-cache
+      miss is the one shared all-hit record for its path length;
     * ``combiner`` — absorb/no-absorb booleans for the WPQ
       write-combiner (``_tuple_writes``), in call order;
     * ``counts`` — (hits, misses, evictions, dirty_evictions) totals
@@ -485,7 +490,7 @@ class MetadataScript:
     def __init__(
         self,
         stream: List[bool],
-        walks: List[Tuple[List[int], int]],
+        walks: List[Tuple[Tuple[int, ...], int]],
         combiner: List[bool],
         counts: Tuple[int, ...],
     ) -> None:
@@ -542,11 +547,19 @@ class MetadataReplay:
       whenever the script is in use; empty coalesced paths never reach
       ``_level_costs``, so they add no walk entry).
 
-    BMT update walks are resolved all the way to per-node cost lists
+    BMT update walks are resolved all the way to per-node cost tuples
     (MAC latency, plus the miss penalty on a BMT cache miss) so pass 2
-    can feed the scoreboards one precomputed list per ``_level_costs``
+    can feed the scoreboards one precomputed tuple per ``_level_costs``
     call.  The pinned root (label 0) costs one MAC latency and never
-    touches the cache, matching ``access_bmt_node``.
+    touches the cache, matching ``access_bmt_node``.  Nearly every walk
+    hits at every level, so an all-hit walk appends one shared
+    ``((mac,) * n, 0)`` record per path length ``n``; only a walk that
+    misses allocates its own costs.
+
+    The replay reads no scheme: only ``persistent`` (without it,
+    written-back blocks walk the BMT) and ``coalesced`` (LCA pairing of
+    an epoch's walks).  Every scheme with the same two flags and
+    prepass shape therefore replays the same script.
 
     :meth:`feed` consumes one chunk of prepass events and buffers the
     scripted outcomes; :meth:`take` drains the buffers.  The memoized
@@ -556,7 +569,6 @@ class MetadataReplay:
 
     __slots__ = (
         "boundary",
-        "scheme",
         "_geometry",
         "_bpcb",
         "_mac_latency",
@@ -575,14 +587,16 @@ class MetadataReplay:
         "_writeback_persists",
         "_stream",
         "_walks",
+        "_hit_walks",
         "_comb_stream",
     )
 
     def __init__(
         self,
-        boundary: int,
-        scheme: UpdateScheme,
         geometry,
+        boundary: int,
+        persistent: bool,
+        coalesced: bool,
         bpcb: int,
         mac_latency: int,
         miss_latency: int,
@@ -591,7 +605,6 @@ class MetadataReplay:
         dims_bmt: Tuple[int, Optional[int], int],
     ) -> None:
         self.boundary = boundary
-        self.scheme = scheme
         self._geometry = geometry
         self._bpcb = bpcb
         self._mac_latency = mac_latency
@@ -610,14 +623,15 @@ class MetadataReplay:
         self._comb: dict = {}
         # A scheme without persistency (secure_wb) walks the BMT for
         # written-back blocks (timing.TraceSimulator._handle_writeback).
-        self._writeback_persists = not scheme.policy.persistent
+        self._writeback_persists = not persistent
         self._coalescer = (
             CoalescingUnit(geometry, policy="paired", telemetry=None)
-            if scheme.policy.coalesced
+            if coalesced
             else None
         )
         self._stream: List[bool] = []
-        self._walks: List[Tuple[List[int], int]] = []
+        self._walks: List[Tuple[Tuple[int, ...], int]] = []
+        self._hit_walks: dict = {}  # path length -> shared all-hit walk
         self._comb_stream: List[bool] = []
 
     @property
@@ -628,20 +642,9 @@ class MetadataReplay:
     @classmethod
     def for_sim(cls, sim, boundary: int) -> "MetadataReplay":
         """A fresh replay matching ``sim``'s metadata config."""
-        cfg = sim.config
-        return cls(
-            boundary,
-            sim.scheme,
-            sim.geometry,
-            cfg.blocks_per_counter_block,
-            cfg.mac_latency,
-            cfg.nvm.read_latency,
-            _cache_dims(cfg.counter_cache_bytes, cfg.metadata_assoc),
-            _cache_dims(cfg.mac_cache_bytes, cfg.metadata_assoc),
-            _cache_dims(cfg.bmt_cache_bytes, cfg.metadata_assoc),
-        )
+        return cls(sim.geometry, *_replay_inputs(sim, boundary))
 
-    def take(self) -> Tuple[List[bool], List[Tuple[List[int], int]], List[bool]]:
+    def take(self) -> Tuple[List[bool], List[Tuple[Tuple[int, ...], int]], List[bool]]:
         """Drain the buffered (stream, walks, combiner) outcomes."""
         out = (self._stream, self._walks, self._comb_stream)
         self._stream = []
@@ -666,6 +669,7 @@ class MetadataReplay:
         coalescer = self._coalescer
         comb = self._comb
         walks = self._walks
+        hit_walks = self._hit_walks
         emit = self._stream.append
         emit_comb = self._comb_stream.append
 
@@ -686,15 +690,21 @@ class MetadataReplay:
             absorbs(("mac", block >> 3))
 
         def bmt_update_walk(path) -> None:
-            costs = []
-            misses = 0
-            for label in path:
-                if label and not bmt((label - 1) // arity, True):
-                    costs.append(miss_cost)
-                    misses += 1
-                else:
-                    costs.append(mac_latency)
-            walks.append((costs, misses))
+            missed = [
+                i
+                for i, label in enumerate(path)
+                if label and not bmt((label - 1) // arity, True)
+            ]
+            if missed:
+                costs = [mac_latency] * len(path)
+                for i in missed:
+                    costs[i] = miss_cost
+                walks.append((tuple(costs), len(missed)))
+                return
+            walk = hit_walks.get(len(path))
+            if walk is None:
+                walk = hit_walks[len(path)] = ((mac_latency,) * len(path), 0)
+            walks.append(walk)
 
         def writeback(victim: int) -> None:
             emit(ctr(victim // bpcb, True))
@@ -751,38 +761,47 @@ class MetadataReplay:
                 flush(ev[6])
 
 
-def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScript:
-    """Fetch (or compute and memoize) the metadata hit/miss script.
+def _replay_inputs(sim, boundary: int) -> tuple:
+    """Every :class:`MetadataReplay` argument after the geometry.
 
-    Keyed alongside the functional prepass on everything that shapes the
-    event partition, plus the metadata geometry, the scheme (which fixes
-    each event's access sequence), and the warmup boundary (window
-    displacements inside the warmup emit no writeback accesses).
+    The script memo key is built from this same tuple, so the key and
+    the replay cannot drift apart.
     """
     cfg = sim.config
-    geometry = sim.geometry
-    key = (
-        "batched_mdscript",
-        sim.scheme.value,
+    policy = sim.scheme.policy
+    return (
         boundary,
-        cfg.epoch_size if sim.scheme.uses_epochs else None,
-        cfg.protect_stack,
-        cfg.l1_bytes,
-        cfg.l1_assoc,
-        cfg.l2_bytes,
-        cfg.l2_assoc,
-        cfg.l3_bytes,
-        cfg.l3_assoc,
-        cfg.counter_cache_bytes,
-        cfg.mac_cache_bytes,
-        cfg.bmt_cache_bytes,
-        cfg.metadata_assoc,
+        policy.persistent,
+        policy.coalesced,
         cfg.blocks_per_counter_block,
         cfg.mac_latency,
         cfg.nvm.read_latency,
+        _cache_dims(cfg.counter_cache_bytes, cfg.metadata_assoc),
+        _cache_dims(cfg.mac_cache_bytes, cfg.metadata_assoc),
+        _cache_dims(cfg.bmt_cache_bytes, cfg.metadata_assoc),
+    )
+
+
+def _metadata_script_for(sim, trace: MemoryTrace, boundary: int) -> MetadataScript:
+    """Fetch (or compute and memoize) the metadata hit/miss script.
+
+    Keyed on exactly what the script is computed from: the prepass
+    shape (which fixes the event partition), the BMT geometry, and the
+    replay's own inputs — the warmup boundary (window displacements
+    inside the warmup emit no writeback accesses), the ``persistent``
+    and ``coalesced`` policy flags, and the metadata geometry and
+    latencies.  Schemes differing only in *when* the BMT engine
+    schedules an update share one script: on one trace and config every
+    write-through persistent scheme replays the same accesses.
+    """
+    geometry = sim.geometry
+    key = (
+        "batched_mdscript",
+        *_prepass_key(sim),
         geometry.num_leaves,
         geometry.arity,
         geometry.levels,
+        *_replay_inputs(sim, boundary),
     )
     memo = trace._stat_cache
     script = memo.get(key)

@@ -112,6 +112,9 @@ class SweepJob:
         use_profile_ipc: bool = True,
         **overrides: Any,
     ) -> "SweepJob":
+        if benchmark not in SPEC_PROFILES:
+            valid = ", ".join(SPEC_PROFILES)
+            raise ValueError(f"unknown benchmark {benchmark!r}; expected one of: {valid}")
         scheme_name = scheme if isinstance(scheme, str) else scheme.value
         return cls(
             benchmark=benchmark,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from repro.core.schemes import UpdateScheme
@@ -218,5 +218,15 @@ class SystemConfig:
         return replace(self, scheme=scheme)
 
     def variant(self, **changes) -> "SystemConfig":
-        """Copy with arbitrary field overrides."""
+        """Copy with arbitrary field overrides.
+
+        Raises:
+            ValueError: a name in ``changes`` is not a field.
+        """
+        unknown = changes.keys() - _FIELD_NAMES
+        if unknown:
+            raise ValueError(f"unknown SystemConfig field(s): {', '.join(sorted(unknown))}")
         return replace(self, **changes)
+
+
+_FIELD_NAMES = frozenset(f.name for f in fields(SystemConfig))

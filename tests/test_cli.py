@@ -66,6 +66,26 @@ def test_sweep_unknown_param_fails(capsys):
     assert "unknown SystemConfig parameter" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--benchmark", "nope"), "unknown benchmark 'nope'"),
+        (("--scheme", "nope"), "unknown scheme 'nope'"),
+        (("--param", "num_pages", "--values", "4"), "not an integer SystemConfig field"),
+        (("--param", "geometry", "--values", "4"), "not an integer SystemConfig field"),
+        (("--param", "scheme", "--values", "4"), "not an integer SystemConfig field"),
+        (("--param", "wpq_entries", "--values", "0"), "wpq_entries must be positive"),
+        (("--param", "wpq_entries", "--values", "4,x"), "bad --values '4,x'"),
+    ],
+)
+def test_sweep_bad_input_fails_cleanly(capsys, argv, message):
+    code, out, err = run_cli(capsys, "sweep", *argv, "--ki", "2")
+    assert code == 2
+    assert message in err
+    assert len(err.strip().splitlines()) == 1
+    assert out == ""
+
+
 def test_crash_broken_mode_shows_failure(capsys):
     code, out, _ = run_cli(capsys, "crash", "--drop", "counter")
     assert code == 0

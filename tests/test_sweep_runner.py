@@ -171,6 +171,11 @@ def test_cache_key_sensitive_to_overrides():
     )
 
 
+def test_make_rejects_unknown_benchmark():
+    with pytest.raises(ValueError, match="unknown benchmark 'nope'"):
+        SweepJob.make("nope", "sp", KI)
+
+
 def test_cache_key_includes_code_version(monkeypatch):
     job = SweepJob.make("gamess", "sp", KI)
     before = job.key()

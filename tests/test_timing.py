@@ -126,6 +126,13 @@ def test_config_variant_revalidates():
         cfg.variant(wpq_entries=-4)
 
 
+def test_config_variant_rejects_unknown_field():
+    with pytest.raises(ValueError, match="unknown SystemConfig field.*warp_factor"):
+        SystemConfig().variant(warp_factor=9)
+    with pytest.raises(ValueError, match="num_pages"):
+        SystemConfig().variant(num_pages=4)
+
+
 def test_config_leaves_per_page_by_organization():
     assert SystemConfig().leaves_per_page == 1
     assert SystemConfig(counter_organization="monolithic").leaves_per_page == 8
