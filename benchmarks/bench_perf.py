@@ -446,7 +446,7 @@ def run_app_campaign_stage(quick: bool) -> dict:
             if not result["agree"]:
                 _fail(
                     f"app campaign pruning is unsound for {scheme}/{idiom}: "
-                    f"{result['disagreements']}"
+                    f"{result['disagreements']} {result['count_disagreements']}"
                 )
             if result["prune_ratio"] < FLOORS["app_prune_ratio"]:
                 _fail(

@@ -96,6 +96,33 @@ class CampaignCell:
         raise KeyError(f"block {block} was not checked in this cell")
 
 
+def root_delegates(
+    sem: SchemePolicy, journal: Sequence, geometry: BMTGeometry
+) -> List[int]:
+    """``resolve[p]``: the persist whose BMT root work acks persist ``p``.
+
+    The identity map, except that coalescing delegates a leading
+    persist's root ack to the trailing persist of its pair — per epoch,
+    in journal order.  Depends only on the journal, never on the crash
+    point, so the plan pruner computes it once per plan set.
+    """
+    n = len(journal)
+    resolve = list(range(n))
+    if sem.coalesced and n:
+        unit = CoalescingUnit(geometry, policy="paired")
+        by_epoch: Dict[int, List[int]] = {}
+        for p, record in enumerate(journal):
+            by_epoch.setdefault(record.epoch_id, []).append(p)
+        for indices in by_epoch.values():
+            coalesced = unit.coalesce_epoch(
+                [(p, journal[p].page) for p in indices]
+            )
+            finals = unit.resolve_delegates(coalesced)
+            for p in indices:
+                resolve[p] = finals[p]
+    return resolve
+
+
 def _delivery_plan(
     sem: SchemePolicy,
     journal: Sequence,
@@ -135,21 +162,8 @@ def _delivery_plan(
         else:
             root_done.append(True)
 
-    # Step 3: coalescing delegates a leading persist's root ack to the
-    # trailing persist of its pair — per epoch, in journal order.
-    resolve = list(range(n))
-    if sem.coalesced and n:
-        unit = CoalescingUnit(geometry, policy="paired")
-        by_epoch: Dict[int, List[int]] = {}
-        for p, record in enumerate(journal):
-            by_epoch.setdefault(record.epoch_id, []).append(p)
-        for indices in by_epoch.values():
-            coalesced = unit.coalesce_epoch(
-                [(p, journal[p].page) for p in indices]
-            )
-            finals = unit.resolve_delegates(coalesced)
-            for p in indices:
-                resolve[p] = finals[p]
+    # Step 3: whose root work each persist's ack waits on.
+    resolve = root_delegates(sem, journal, geometry)
 
     # Step 4: root acks, chained per Invariant 2 when the scheme orders
     # root updates.
@@ -171,8 +185,9 @@ class FlushOutcome:
     """What the WPQ power-failure flush decided for one crash cell.
 
     Shared between the memory-level and app-level engines (and reused
-    combinatorially, without crypto, by the crash-plan pruner in
-    :mod:`repro.campaign.plans`).
+    without crypto by the crash-plan pruner in
+    :mod:`repro.campaign.plans` for non-atomic schemes, whose classes
+    are exact damage signatures).
     """
 
     persisted: List

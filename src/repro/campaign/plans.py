@@ -5,33 +5,40 @@ is ``1 + 16 * n`` cells: the trailing boundary plus every journaled
 persist as victim x every subset of its ``(C, γ, M, R)`` tuple.  Most
 of those cells cannot change what the application recovers:
 
-* Under 2SP (every scheme in the default roster) the WPQ releases a
-  journal *prefix* — persists younger than an in-flight victim never
-  even gather.  The post-crash NVM image, and with it the recovered
-  application state, is a pure function of the durable prefix length
-  ``k``; all 16 drop subsets of a victim collapse onto at most two
-  distinct ``k`` values.
-* Within one prefix length, what recovery returns is decided by the
-  idiom's *mechanism* at the first missing persist: which operation is
-  in flight, the persist's protocol role (``snap_slot`` vs the
+* Under 2SP (every ``atomic`` scheme row) a WPQ entry is released only
+  when its whole tuple has arrived, so what survives a crash is fixed
+  by one number: how many journal persists are complete.  Under an
+  ordered root that is a journal *prefix* ``k``; relaxed-root rows
+  (``triad_nvm``, ``phoenix``) may release a non-prefix set, but the
+  count still decides the class.  All 16 drop subsets of a victim
+  collapse onto at most a few distinct counts.
+* Within one count, what recovery returns is decided by the idiom's
+  *mechanism* at the first missing persist: which operation is in
+  flight, the persist's protocol role (``snap_slot`` vs the
   ``snap_ptr`` commit point; ``log_rec``/``log_head``/``slot_write``
   vs ``log_commit``), and how many commits landed before it.  Two
   crash points with the same (op, role, commits-before) signature
   recover identically.
 
-The pruner therefore computes each exhaustive cell's durable outcome
-*combinatorially* — one crypto replay to journal the workload, then a
-cheap WPQ drive per cell, no encryption, no recovery — groups cells by
-equivalence class, and emits one representative plan per class.  For
-non-atomic schemes (the opt-in ``unordered`` strawman) the prefix
-argument does not hold, so classes degrade to the exact durable-damage
-signature: only genuinely identical outcomes merge.
+The pruner therefore computes each exhaustive cell's durable count in
+*closed form* — one crypto replay to journal the workload, the
+coalescing delegate map once per plan set, then an O(n) integer walk
+per cell (:func:`durable_count`): no WPQ, no encryption, no recovery —
+groups cells by equivalence class, and emits one representative plan
+per class.  For non-atomic schemes (the opt-in ``unordered`` strawman)
+the count argument does not hold, so each cell drives a real WPQ
+(:func:`~repro.campaign.engine.drive_wpq`) and classes degrade to the
+exact durable-damage signature: only genuinely identical outcomes
+merge.  Representatives still run ``drive_wpq`` inside
+:func:`~repro.campaign.app_engine.run_app_scenario`, so its tuple and
+ordered-release checks are kept on every executed plan.
 
 :func:`crosscheck_pruning` is the soundness instrument: it *runs* every
 exhaustive cell through the real engine and verifies each one classifies
 identically to its class representative — in particular, that no
-mismatch-producing plan was pruned away.  The property test in
-``tests/test_app_campaign.py`` hammers this on hypothesis-generated
+mismatch-producing plan was pruned away — and that the closed-form
+count equals the executed cell's WPQ-driven count.  The property test
+in ``tests/test_app_campaign.py`` hammers this on hypothesis-generated
 workloads; the bench gate and ``plp-repro app-campaign --exhaustive``
 run it on the ``smoke`` trace.
 """
@@ -39,9 +46,9 @@ run it on the ``smoke`` trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
-from repro.app.kvstore import AppWorkload, lower
+from repro.app.kvstore import COMMIT_ROLES, lower, replay_app
 from repro.app.workloads import resolve_workload
 from repro.campaign.app_engine import (
     AppScenario,
@@ -49,10 +56,12 @@ from repro.campaign.app_engine import (
     persist_map,
     run_app_scenario,
 )
-from repro.campaign.engine import build_injector, drive_wpq
+from repro.campaign.engine import build_injector, drive_wpq, root_delegates
 from repro.campaign.grid import DROP_SUBSETS, build_memory, semantics_for
-from repro.app.kvstore import replay_app
+from repro.core.schemes import SchemePolicy
 from repro.mem.wpq import TupleItem
+
+_GATHER_ITEMS = frozenset({TupleItem.DATA, TupleItem.COUNTER, TupleItem.MAC})
 
 
 @dataclass(frozen=True)
@@ -122,15 +131,52 @@ def exhaustive_cells(
     return cells
 
 
-def _atomic_class_key(
-    k: int, n: int, pmap: Sequence[PersistInfo], commit_roles: frozenset
-) -> str:
-    """Mechanism signature of a durable prefix of length ``k``."""
-    if k >= n:
-        return "end"
-    info = pmap[k]
-    commits = sum(1 for i in range(k) if pmap[i].role in commit_roles)
-    return f"op{info.app_index}:{info.role}:c{commits}"
+def durable_count(
+    sem: SchemePolicy,
+    resolve: Sequence[int],
+    victim: int,
+    drops: AbstractSet[TupleItem],
+) -> int:
+    """How many persists an ``atomic`` row releases at the crash.
+
+    The closed form of ``len(drive_wpq(...).persisted_ids)``: a locked
+    entry is released only when its whole tuple arrived, so persist
+    ``p`` survives iff it was issued (``p <= victim``; every persist at
+    the boundary ``victim == -1``), its gather was not dropped, and the
+    root work of ``resolve[p]`` (:func:`~repro.campaign.engine.root_delegates`)
+    finished.  Under an ordered root (Invariant 2) ``p``'s ack also
+    needs ``p - 1``'s, so the first unacked persist ends the count.
+    """
+    if not sem.atomic:
+        raise ValueError("durable_count needs an atomic (2SP) scheme row")
+    last = len(resolve) - 1 if victim == -1 else victim
+    gather_ok = _GATHER_ITEMS.isdisjoint(drops)
+    root_ok = TupleItem.ROOT_ACK not in drops
+    count = 0
+    for p in range(last + 1):
+        q = resolve[p]
+        acked = q <= last and (q != victim or root_ok)
+        if not acked:
+            if sem.ordered_root:
+                break
+            continue
+        if p != victim or gather_ok:
+            count += 1
+    return count
+
+
+def _count_class_keys(pmap: Sequence[PersistInfo]) -> List[str]:
+    """Class key of every durable count ``k`` in ``0..n``: the mechanism
+    signature ``op{i}:{role}:c{commits}`` of the first missing persist,
+    or ``end`` when all ``n`` survive."""
+    keys = []
+    commits = 0
+    for info in pmap:
+        keys.append(f"op{info.app_index}:{info.role}:c{commits}")
+        if info.role in COMMIT_ROLES:
+            commits += 1
+    keys.append("end")
+    return keys
 
 
 def _damage_signature(n: int, injector) -> str:
@@ -145,6 +191,52 @@ def _damage_signature(n: int, injector) -> str:
         if dropped:
             parts.append((pid, tuple(sorted(item.value for item in dropped))))
     return f"sig:{parts!r}"
+
+
+@dataclass
+class _Classified:
+    """Every exhaustive cell of one plan set with its class key (and,
+    under an atomic row, its closed-form durable count)."""
+
+    workload: str
+    total_persists: int
+    cells: List[Tuple[int, Tuple[str, ...]]]
+    keys: List[str]
+    counts: Optional[List[int]]
+
+
+def _classify(
+    scheme: str,
+    idiom: str,
+    wl,
+    subsets: Optional[Sequence[Tuple[str, ...]]],
+) -> _Classified:
+    """Journal the workload once and key every exhaustive cell."""
+    sem = semantics_for(scheme)
+    if not sem.persistent:
+        raise ValueError(f"scheme {scheme!r} journals nothing; no crash plans")
+    trace = lower(idiom, wl)
+    mem = build_memory(sem)
+    replay_app(mem, trace)
+    journal = mem.journal
+    n = len(journal)
+    subset_list = list(subsets) if subsets is not None else list(DROP_SUBSETS)
+    cells = exhaustive_cells(n, subset_list)
+
+    if sem.atomic:
+        resolve = root_delegates(sem, journal, mem.geometry)
+        counts = [
+            durable_count(sem, resolve, victim, {TupleItem(v) for v in drops})
+            for victim, drops in cells
+        ]
+        by_count = _count_class_keys(persist_map(sem, trace))
+        return _Classified(wl.name, n, cells, [by_count[k] for k in counts], counts)
+    keys = []
+    for victim, drops in cells:
+        drop_items = {TupleItem(value) for value in drops}
+        outcome = drive_wpq(sem, journal, victim, drop_items, mem.geometry)
+        keys.append(_damage_signature(n, build_injector(sem, outcome)))
+    return _Classified(wl.name, n, cells, keys, None)
 
 
 def generate_plans(
@@ -166,55 +258,28 @@ def generate_plans(
         each equivalence class, in enumeration order, each annotated
         with how many cells it represents.
     """
-    from repro.app.kvstore import COMMIT_ROLES
-
-    sem = semantics_for(scheme)
-    if not sem.persistent:
-        raise ValueError(f"scheme {scheme!r} journals nothing; no crash plans")
-    wl = resolve_workload(workload)
-    trace = lower(idiom, wl)
-    mem = build_memory(sem)
-    replay_app(mem, trace)
-    journal = mem.journal
-    n = len(journal)
-    pmap = persist_map(sem, trace)
-    subset_list = list(subsets) if subsets is not None else list(DROP_SUBSETS)
-
-    cells = exhaustive_cells(n, subset_list)
+    classified = _classify(scheme, idiom, resolve_workload(workload), subsets)
     classes: Dict[str, List[Tuple[int, Tuple[str, ...]]]] = {}
-    order: List[str] = []
-    for victim, drops in cells:
-        drop_items = {TupleItem(value) for value in drops}
-        outcome = drive_wpq(sem, journal, victim, drop_items, mem.geometry)
-        if sem.atomic:
-            key = _atomic_class_key(
-                len(outcome.persisted_ids), n, pmap, COMMIT_ROLES
-            )
-        else:
-            key = _damage_signature(n, build_injector(sem, outcome))
-        if key not in classes:
-            classes[key] = []
-            order.append(key)
-        classes[key].append((victim, drops))
-
+    for cell, key in zip(classified.cells, classified.keys):
+        classes.setdefault(key, []).append(cell)
     plans = tuple(
         CrashPlan(
             scheme=scheme,
             idiom=idiom,
-            workload=wl.name,
-            victim=classes[key][0][0],
-            drops=classes[key][0][1],
+            workload=classified.workload,
+            victim=members[0][0],
+            drops=members[0][1],
             class_key=key,
-            represented=len(classes[key]),
+            represented=len(members),
         )
-        for key in order
+        for key, members in classes.items()
     )
     return PlanSet(
         scheme=scheme,
         idiom=idiom,
-        workload=wl.name,
-        total_persists=n,
-        exhaustive_cells=len(cells),
+        workload=classified.workload,
+        total_persists=classified.total_persists,
+        exhaustive_cells=len(classified.cells),
         plans=plans,
     )
 
@@ -231,70 +296,66 @@ def crosscheck_pruning(
     and compared against its class representative's classification.  A
     sound pruner produces zero disagreements — in particular, zero
     mismatch-producing plans hiding in a class whose representative
-    classified clean.
+    classified clean.  Under an atomic row each cell's closed-form
+    :func:`durable_count` must also equal the count the executed cell's
+    real WPQ drive released (its ``durable_persists``).
 
     Returns:
         A dict with ``cells``, ``plans``, ``skipped``, ``agree``,
-        ``missed_mismatches``, and the per-cell ``disagreements`` list
-        (empty when sound).
+        ``missed_mismatches``, the per-cell ``disagreements`` list and
+        the per-cell ``count_disagreements`` list (both empty when
+        sound).
     """
     wl = resolve_workload(workload)
-    plan_set = generate_plans(scheme, idiom, wl, subsets=subsets)
-    subset_list = list(subsets) if subsets is not None else list(DROP_SUBSETS)
+    classified = _classify(scheme, idiom, wl, subsets)
 
+    # Cells run in enumeration order, so each class's first cell — its
+    # representative — runs before every cell it stands for.
     rep_class: Dict[str, str] = {}
-    for plan in plan_set.plans:
-        cell = run_app_scenario(plan.scenario, workload=wl)
-        rep_class[plan.class_key] = cell.classification
-
-    # Re-derive each exhaustive cell's class key exactly as the pruner
-    # did, then run the cell for real and compare.
-    from repro.app.kvstore import COMMIT_ROLES
-
-    sem = semantics_for(scheme)
-    trace = lower(idiom, wl)
-    mem = build_memory(sem)
-    replay_app(mem, trace)
-    journal = mem.journal
-    n = len(journal)
-    pmap = persist_map(sem, trace)
-
     disagreements: List[Dict] = []
+    count_disagreements: List[Dict] = []
     missed_mismatches = 0
-    cells = exhaustive_cells(n, subset_list)
-    for victim, drops in cells:
-        drop_items = {TupleItem(value) for value in drops}
-        outcome = drive_wpq(sem, journal, victim, drop_items, mem.geometry)
-        if sem.atomic:
-            key = _atomic_class_key(
-                len(outcome.persisted_ids), n, pmap, COMMIT_ROLES
-            )
-        else:
-            key = _damage_signature(n, build_injector(sem, outcome))
+    for index, ((victim, drops), key) in enumerate(
+        zip(classified.cells, classified.keys)
+    ):
         scenario = AppScenario(scheme, idiom, wl.name, victim, drops)
-        actual = run_app_scenario(scenario, workload=wl).classification
-        expected = rep_class[key]
-        if actual != expected:
+        cell = run_app_scenario(scenario, workload=wl)
+        if classified.counts is not None:
+            closed_form = classified.counts[index]
+            if closed_form != cell.durable_persists:
+                count_disagreements.append(
+                    {
+                        "victim": victim,
+                        "drops": list(drops),
+                        "closed_form": closed_form,
+                        "driven": cell.durable_persists,
+                    }
+                )
+        expected = rep_class.setdefault(key, cell.classification)
+        if cell.classification != expected:
             disagreements.append(
                 {
                     "victim": victim,
                     "drops": list(drops),
                     "class_key": key,
                     "expected": expected,
-                    "actual": actual,
+                    "actual": cell.classification,
                 }
             )
-            if actual == "mismatch":
+            if cell.classification == "mismatch":
                 missed_mismatches += 1
+    cells = len(classified.cells)
+    plans = len(rep_class)
     return {
         "scheme": scheme,
         "idiom": idiom,
         "workload": wl.name,
-        "cells": len(cells),
-        "plans": len(plan_set.plans),
-        "skipped": plan_set.skipped_cells,
-        "prune_ratio": plan_set.prune_ratio,
-        "agree": not disagreements,
+        "cells": cells,
+        "plans": plans,
+        "skipped": cells - plans,
+        "prune_ratio": (cells - plans) / cells if cells else 0.0,
+        "agree": not disagreements and not count_disagreements,
         "missed_mismatches": missed_mismatches,
         "disagreements": disagreements,
+        "count_disagreements": count_disagreements,
     }

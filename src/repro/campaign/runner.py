@@ -12,7 +12,6 @@ sequential run, cold or warm.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,13 +35,15 @@ def default_campaign_cache_root() -> Path:
 
 
 class CampaignCache(JSONCache):
-    """Directory of content-addressed :class:`CampaignCell` JSON files."""
+    """Content-addressed store of :class:`CampaignCell` payloads."""
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         super().__init__(root if root is not None else default_campaign_cache_root())
 
     def _encode(self, value: CampaignCell) -> Dict:
-        return asdict(value)
+        # Cells hold JSON primitives only, so the field dict encodes as
+        # is; ``asdict`` would deep-copy every nested list first.
+        return vars(value)
 
     def _decode(self, payload: Dict) -> CampaignCell:
         return CampaignCell(**payload)
@@ -84,10 +85,10 @@ def run_campaign(
 
 
 class AppCampaignCache(JSONCache):
-    """Content-addressed :class:`AppCampaignCell` files.
+    """Content-addressed store of :class:`AppCampaignCell` payloads.
 
     Lives in an ``app/`` subdirectory of the campaign cache root so the
-    two cell shapes never share a directory.
+    two cell shapes never share a store.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -96,7 +97,7 @@ class AppCampaignCache(JSONCache):
         )
 
     def _encode(self, value: AppCampaignCell) -> Dict:
-        return asdict(value)
+        return vars(value)
 
     def _decode(self, payload: Dict) -> AppCampaignCell:
         return AppCampaignCell(**payload)

@@ -422,7 +422,8 @@ def cmd_app_campaign(args: argparse.Namespace) -> int:
                 print(
                     f"cross-check {scheme}/{idiom}/{CROSSCHECK_WORKLOAD}: "
                     f"{result['cells']} cells vs {result['plans']} plans -> "
-                    f"{verdict} ({result['missed_mismatches']} missed mismatches)"
+                    f"{verdict} ({result['missed_mismatches']} missed mismatches, "
+                    f"{len(result['count_disagreements'])} count disagreements)"
                 )
 
     if args.out:
@@ -437,7 +438,11 @@ def cmd_app_campaign(args: argparse.Namespace) -> int:
         print(f"wrote {args.out} ({len(cells)} cells)")
 
     if any(not result["agree"] for result in crosschecks):
-        print("\nFAIL: pruning cross-check found a missed plan", file=sys.stderr)
+        print(
+            "\nFAIL: pruning cross-check found a missed plan or a "
+            "closed-form count that disagrees with the WPQ drive",
+            file=sys.stderr,
+        )
         return 1
     try:
         verify_campaign(cells, require_tables=False)

@@ -9,10 +9,14 @@ those inputs, where *code version* is a digest of every ``.py`` file
 under ``repro`` — so any source change invalidates the whole cache, and
 an unchanged artifact regeneration is a pure cache hit.
 
-Layout: one JSON file per result under ``<root>/<key[:2]>/<key>.json``.
-The root defaults to ``~/.cache/plp-repro/results`` and can be moved
-with the ``PLP_SWEEP_CACHE`` environment variable; setting
-``PLP_NO_RESULT_CACHE=1`` disables caching entirely.
+Layout: one stdlib ``sqlite3`` store per cache root,
+``<root>/store.sqlite3``, holding one JSON payload per key.  Puts are
+committed in batches (every :data:`BATCH_PUTS` puts and whenever
+:meth:`JSONCache.flush` runs, as :func:`~repro.sweep.runner.run_tasks`
+does when it finishes or fails), so a killed run leaves each entry
+whole or absent.  The root defaults to ``~/.cache/plp-repro/results``
+and can be moved with the ``PLP_SWEEP_CACHE`` environment variable;
+setting ``PLP_NO_RESULT_CACHE=1`` disables caching entirely.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import warnings
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Optional, Union
@@ -103,19 +108,68 @@ def caching_disabled() -> bool:
     return os.environ.get("PLP_NO_RESULT_CACHE", "") not in ("", "0")
 
 
-class JSONCache:
-    """Directory of content-addressed JSON payloads.
+STORE_NAME = "store.sqlite3"
+"""File name of the store inside a cache root."""
 
-    Base class for every on-disk result store in the sweep layer: one
-    JSON file per entry under ``<root>/<key[:2]>/<key>.json``, written
-    atomically (write-then-rename).  Subclasses override
+BATCH_PUTS = 256
+"""Puts per committed transaction."""
+
+STORE_CACHE_KIB = 64
+"""sqlite page-cache bound per open store (the default is 2 MB)."""
+
+_UPSERT = "INSERT OR REPLACE INTO entries (key, payload) VALUES (?, ?)"
+
+
+def _commit(conn, pending: Dict[str, str]) -> None:
+    """Write every pending payload in one short transaction."""
+    if pending:
+        with conn:
+            conn.executemany(_UPSERT, pending.items())
+        pending.clear()
+
+
+def _close_store(conn, pending: Dict[str, str], pid: int) -> None:
+    """Commit what is pending and close (finalizer of a :class:`JSONCache`,
+    a no-op in a forked child that inherited ``conn``)."""
+    if os.getpid() != pid:
+        return
+    try:
+        _commit(conn, pending)
+    finally:
+        conn.close()
+
+
+class JSONCache:
+    """Content-addressed JSON payloads in one sqlite store per root.
+
+    Base class for every on-disk result store in the sweep layer.  The
+    store is ``<root>/store.sqlite3`` (WAL journal, ``synchronous=NORMAL``,
+    a :data:`STORE_CACHE_KIB` page cache), opened lazily by the first
+    :meth:`get`/:meth:`put` in the process that uses it; a process
+    forked after the parent opened it opens its own.  :meth:`put` holds
+    the encoded payload in memory; the batch is written in one short
+    transaction every :data:`BATCH_PUTS` puts, by :meth:`flush`, and
+    when the cache is garbage-collected or the interpreter exits, so
+    the write lock is never held between puts and concurrent runs on
+    one root do not block each other.  :meth:`get` sees pending puts.
+    A file at the store path that is not a readable store turns the
+    cache off for this object (every get misses, puts are dropped) with
+    a warning; delete it to start afresh.  Subclasses override
     :meth:`_encode`/:meth:`_decode` to map their value type onto JSON.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+        self.store_path = self.root / STORE_NAME
         self.hits = 0
         self.misses = 0
+        self._conn = None
+        self._pid: Optional[int] = None
+        self._pending: Dict[str, str] = {}
+        # Connections inherited across fork(): SQLite forbids using one
+        # in the child, and closing it counts as use, so the child keeps
+        # them referenced and never calls into them.
+        self._inherited: list = []
 
     # -- value mapping (override in subclasses) -------------------------
 
@@ -127,35 +181,75 @@ class JSONCache:
 
     # -- storage --------------------------------------------------------
 
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _store(self):
+        """The open connection for this process, or ``None`` if the
+        store is unreadable."""
+        pid = os.getpid()
+        if self._pid == pid:
+            return self._conn
+        if self._conn is not None:
+            self._inherited.append(self._conn)
+            self._finalizer.detach()
+        self._conn = None
+        self._pid = pid
+        self._pending = {}  # the parent's batch is the parent's to commit
+        import sqlite3
+
+        self.root.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(self.store_path, timeout=30)
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute(f"PRAGMA cache_size=-{STORE_CACHE_KIB}")
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS entries "
+                "(key TEXT PRIMARY KEY, payload TEXT NOT NULL) WITHOUT ROWID"
+            )
+        except sqlite3.DatabaseError as exc:
+            conn.close()
+            if isinstance(exc, sqlite3.OperationalError):
+                raise
+            warnings.warn(
+                f"{self.store_path} is not a readable result store ({exc}); "
+                "caching is off for this run",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return None
+        self._conn = conn
+        self._finalizer = weakref.finalize(
+            self, _close_store, conn, self._pending, pid
+        )
+        return conn
 
     def get(self, key: str):
         """Fetch a cached value; counts the hit/miss."""
-        path = self.path_for(key)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
+        conn = self._store()
+        payload = self._pending.get(key)
+        if payload is None and conn is not None:
+            row = conn.execute(
+                "SELECT payload FROM entries WHERE key = ?", (key,)
+            ).fetchone()
+            payload = row[0] if row is not None else None
+        if payload is None:
             self.misses += 1
             return None
         self.hits += 1
-        return self._decode(payload)
+        return self._decode(json.loads(payload))
 
     def put(self, key: str, value) -> None:
-        """Store a value atomically (write-then-rename)."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(self._encode(value), fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Add a value to the pending batch (written every
+        :data:`BATCH_PUTS` puts and by :meth:`flush`)."""
+        if self._store() is None:
+            return
+        self._pending[key] = json.dumps(self._encode(value))
+        if len(self._pending) >= BATCH_PUTS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Commit every pending put."""
+        if self._conn is not None and self._pid == os.getpid():
+            _commit(self._conn, self._pending)
 
     @property
     def hit_rate(self) -> float:
@@ -177,7 +271,7 @@ class JSONCache:
 
 
 class ResultCache(JSONCache):
-    """Directory of content-addressed :class:`SimResult` JSON files."""
+    """Content-addressed store of :class:`SimResult` payloads."""
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         super().__init__(root if root is not None else default_cache_root())

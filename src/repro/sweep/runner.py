@@ -298,7 +298,8 @@ def run_tasks(
         workers: Process count (``None``: ``PLP_SWEEP_JOBS`` or CPU
             count; ``1`` runs inline with no pool).
         cache: Optional :class:`~repro.sweep.cache.JSONCache`; hits skip
-            execution entirely.
+            execution entirely, and every finished result is committed
+            before this returns or raises.
 
     Returns:
         ``(results, report)`` with ``results[i]`` the outcome of
@@ -337,32 +338,37 @@ def run_tasks(
         if cache is not None:
             cache.put(key, result)
 
-    if pending:
-        report.executed = len(pending)
-        if workers == 1 or len(pending) == 1:
-            for key, spec in pending_spec.items():
-                _install(key, execute(spec))
-        else:
-            done: set = set()
-            for attempt in (0, 1):
-                pool = _get_pool(workers)
-                try:
-                    futures = {
-                        key: pool.submit(execute, pending_spec[key])
-                        for key in pending
-                        if key not in done
-                    }
-                    for key, future in futures.items():
-                        _install(key, future.result())
-                        done.add(key)
-                    break
-                except BrokenProcessPool:
-                    # A worker died (OOM kill, crash).  Drop the broken
-                    # executor and retry the unfinished keys once on a
-                    # fresh pool; a second break is a real failure.
-                    shutdown_pool()
-                    if attempt:
-                        raise
+    try:
+        if pending:
+            report.executed = len(pending)
+            if workers == 1 or len(pending) == 1:
+                for key, spec in pending_spec.items():
+                    _install(key, execute(spec))
+            else:
+                done: set = set()
+                for attempt in (0, 1):
+                    pool = _get_pool(workers)
+                    try:
+                        futures = {
+                            key: pool.submit(execute, pending_spec[key])
+                            for key in pending
+                            if key not in done
+                        }
+                        for key, future in futures.items():
+                            _install(key, future.result())
+                            done.add(key)
+                        break
+                    except BrokenProcessPool:
+                        # A worker died (OOM kill, crash).  Drop the broken
+                        # executor and retry the unfinished keys once on a
+                        # fresh pool; a second break is a real failure.
+                        shutdown_pool()
+                        if attempt:
+                            raise
+    finally:
+        # Commit every finished result, also on Ctrl-C or a failed pool.
+        if cache is not None:
+            cache.flush()
 
     report.wall_seconds = time.perf_counter() - start
     if any(r is None for r in results):

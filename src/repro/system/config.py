@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -223,10 +224,21 @@ class SystemConfig:
         Raises:
             ValueError: a name in ``changes`` is not a field.
         """
-        unknown = changes.keys() - _FIELD_NAMES
-        if unknown:
-            raise ValueError(f"unknown SystemConfig field(s): {', '.join(sorted(unknown))}")
         return replace(self, **changes)
 
 
 _FIELD_NAMES = frozenset(f.name for f in fields(SystemConfig))
+_dataclass_init = SystemConfig.__init__
+
+
+@functools.wraps(_dataclass_init)
+def _checked_init(self, *args, **kwargs) -> None:
+    # An unknown keyword is a bad value, like any other rejected config:
+    # ValueError naming it, not the generated __init__'s TypeError.
+    unknown = kwargs.keys() - _FIELD_NAMES
+    if unknown:
+        raise ValueError(f"unknown SystemConfig field(s): {', '.join(sorted(unknown))}")
+    _dataclass_init(self, *args, **kwargs)
+
+
+SystemConfig.__init__ = _checked_init

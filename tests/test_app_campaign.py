@@ -33,10 +33,17 @@ from repro.campaign.app_engine import (
     persist_map,
     run_app_scenario,
 )
+from repro.campaign.engine import drive_wpq, root_delegates
 from repro.campaign.grid import DROP_SUBSETS, build_memory, semantics_for
-from repro.campaign.plans import crosscheck_pruning, exhaustive_cells, generate_plans
+from repro.campaign.plans import (
+    crosscheck_pruning,
+    durable_count,
+    exhaustive_cells,
+    generate_plans,
+)
 from repro.campaign.runner import AppCampaignCache, run_app_campaign
 from repro.crypto.primitives import BLOCK_SIZE
+from repro.mem.wpq import TupleItem
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +238,29 @@ def test_pruning_soundness_non_atomic_fallback():
     assert result["missed_mismatches"] == 0
 
 
+@pytest.mark.parametrize("scheme", APP_CAMPAIGN_SCHEMES)
+@pytest.mark.parametrize("idiom", ["snapshot", "undolog"])
+def test_durable_count_matches_wpq_drive(scheme, idiom):
+    """The pruner's closed-form count equals what a real WPQ releases,
+    on every exhaustive cell of every atomic roster row."""
+    sem = semantics_for(scheme)
+    mem = build_memory(sem)
+    replay_app(mem, lower(idiom, resolve_workload("smoke")))
+    journal = mem.journal
+    resolve = root_delegates(sem, journal, mem.geometry)
+    for victim, drops in exhaustive_cells(len(journal), list(DROP_SUBSETS)):
+        items = {TupleItem(value) for value in drops}
+        driven = drive_wpq(sem, journal, victim, items, mem.geometry)
+        assert durable_count(sem, resolve, victim, items) == len(
+            driven.persisted_ids
+        ), (victim, drops)
+
+
+def test_durable_count_rejects_non_atomic_rows():
+    with pytest.raises(ValueError, match="atomic"):
+        durable_count(semantics_for("unordered"), [0], -1, set())
+
+
 _hyp_values = st.binary(min_size=1, max_size=48)
 _hyp_keys = st.integers(min_value=0, max_value=2)
 _hyp_ops = st.lists(
@@ -258,11 +288,16 @@ _hyp_ops = st.lists(
 @given(ops=_hyp_ops)
 def test_pruning_sound_on_generated_workloads(idiom, ops):
     """Property arm: the pruner stays sound on arbitrary small
-    workloads, not just the curated roster."""
+    workloads, not just the curated roster — under the plain 2SP row,
+    the coalescing (root-ack delegation) row and the relaxed-root
+    ``triad_nvm`` row, whose closed-form counts must match the WPQ."""
     wl = AppWorkload("hyp", tuple(ops), num_keys=3)
-    result = crosscheck_pruning("sp", idiom, wl)
-    assert result["agree"], result["disagreements"]
-    assert result["missed_mismatches"] == 0
+    for scheme in ("sp", "coalescing", "triad_nvm"):
+        result = crosscheck_pruning(scheme, idiom, wl)
+        assert result["agree"], (
+            scheme, result["disagreements"], result["count_disagreements"]
+        )
+        assert result["missed_mismatches"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -133,6 +133,14 @@ def test_config_variant_rejects_unknown_field():
         SystemConfig().variant(num_pages=4)
 
 
+def test_config_constructor_rejects_unknown_field():
+    with pytest.raises(ValueError, match="unknown SystemConfig field.*foo"):
+        SystemConfig(foo=1)
+    with pytest.raises(ValueError, match="bar.*foo"):
+        SystemConfig(wpq_entries=8, foo=1, bar=2)
+    assert SystemConfig(wpq_entries=8).wpq_entries == 8
+
+
 def test_config_leaves_per_page_by_organization():
     assert SystemConfig().leaves_per_page == 1
     assert SystemConfig(counter_organization="monolithic").leaves_per_page == 8
